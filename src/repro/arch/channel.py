@@ -19,8 +19,8 @@ the paper builds its whole argument on.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterator, NamedTuple, Optional
-from weakref import WeakKeyDictionary
 
 from .segmentation import Segmentation
 
@@ -125,19 +125,17 @@ class SegmentationTables:
         return entries
 
 
-#: Shared tables per segmentation instance.  Weak keys: tables die with
-#: the (fabric-owned) segmentation, never the other way around.
-_TABLES: "WeakKeyDictionary[Segmentation, SegmentationTables]" = (
-    WeakKeyDictionary()
-)
-
-
+@lru_cache(maxsize=32)
 def tables_for(segmentation: Segmentation) -> SegmentationTables:
-    """The shared :class:`SegmentationTables` for a segmentation."""
-    tables = _TABLES.get(segmentation)
-    if tables is None:
-        tables = _TABLES[segmentation] = SegmentationTables(segmentation)
-    return tables
+    """The shared :class:`SegmentationTables` for a segmentation.
+
+    Keyed by value (``Segmentation`` is a frozen dataclass), so every
+    fabric built from the same recipe — each annealer builds its own —
+    reuses the tables and the intervals they have already materialized.
+    The bound caps what a sweep over many designs or track counts keeps
+    alive.
+    """
+    return SegmentationTables(segmentation)
 
 
 class ChannelClaim(NamedTuple):

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 import random
+import statistics
 import time
 from dataclasses import dataclass, field
 from time import perf_counter
@@ -68,17 +69,6 @@ class AnnealerConfig:
     #: Never affects results: identical seeds give identical metrics
     #: with profiling on or off.
     profile: bool = False
-    #: Repair fast path (dirty-channel iteration + negative-result
-    #: caches + zero-net-move short circuit).  Bit-identical results
-    #: either way; off exists for the golden determinism test and A/B
-    #: benchmarking.
-    fast_path: bool = True
-    #: Flat-array move core (see :mod:`repro.core.arraystate`): journal
-    #: phantom-restore keyed on per-net route versions, geometry restore
-    #: by assignment, and delay-cache reuse across moves.  Results are
-    #: bit-identical with the flag off (the legacy object-graph core);
-    #: legacy exists for the parity smoke test and A/B benchmarking.
-    array_core: bool = True
     #: Runtime sanitizer: after every move transaction, cross-check
     #: rollback completeness, negative-cache coherence, and the full
     #: invariant audit (see :mod:`repro.lint.runtime`).  Slow but
@@ -280,17 +270,11 @@ class SimultaneousAnnealer:
         else:
             placement = random_placement(netlist, fabric, self.rng)
         state = RoutingState(placement)
-        router = IncrementalRouter(
-            state, self.config.segment_weight, fast_path=self.config.fast_path
-        )
+        router = IncrementalRouter(state, self.config.segment_weight)
         router.metrics = metrics
         router.route_all_from_scratch()
         timing = IncrementalTiming(state, self.technology)
         timing.metrics = metrics
-        if self.config.array_core:
-            from .arraystate import ArrayState
-
-            ArrayState.attach(state, timing)
         self.ctx = LayoutContext(placement, state, router, timing,
                                  profiler=self.profiler, metrics=metrics)
         self.weights = CostWeights(
@@ -434,10 +418,9 @@ class SimultaneousAnnealer:
                       "T": terms.worst_delay},
             "layout": layout_to_dict(self.ctx.placement, self.ctx.state),
             "timing": self.ctx.timing.export_state(),
-            # Flat-array core side-state (schema-compatible addition:
-            # validate_payload tolerates unknown sections, so pre-array
-            # checkpoints restore fine without it and array checkpoints
-            # restore fine on legacy-core runs, which ignore it).
+            # Route and delay-cache versions (schema-compatible addition:
+            # validate_payload tolerates unknown sections, and
+            # checkpoints written before it existed restore without it).
             "arrays": {
                 "route_version": list(self.ctx.state.route_version),
                 "delay_cache_version": list(self.ctx.timing._cache_version),
@@ -479,7 +462,8 @@ class SimultaneousAnnealer:
         if arrays_record is not None:
             # Adopt the writing run's version counters verbatim so the
             # resumed trajectory's version comparisons — and hence its
-            # fast-path decisions — match an uninterrupted run exactly.
+            # phantom-restore and cache-reuse decisions — match an
+            # uninterrupted run exactly.
             # Checkpoints without the section (pre-array writers) fall
             # back to adopt_state's revalidation, which is equivalent:
             # every non-None cache entry in a live run is version-valid.
@@ -952,7 +936,7 @@ class SimultaneousAnnealer:
             global_unrouted_frac=current.global_unrouted / num_nets,
             unrouted_frac=current.detail_unrouted / num_nets,
             worst_delay=current.worst_delay,
-            mean_cost=(sum(costs) / len(costs)) if costs else 0.0,
+            mean_cost=statistics.fmean(costs) if costs else 0.0,
         )
         self.dynamics.record(sample)
         self.weights.recalibrate(accumulator.mean_terms())

@@ -1,4 +1,4 @@
-"""Flat-array core state: the bundle behind ``AnnealerConfig(array_core=True)``.
+"""Flat-array core state and the probes that cross-check it.
 
 The move loop's hot state lives in flat arrays rather than object-graph
 walks:
@@ -11,8 +11,8 @@ walks:
 * **route versions** — one monotonic counter per net
   (``RoutingState.route_version``, a stdlib ``array('Q')``), bumped by
   every route mutation; version equality proves a net's record is
-  untouched, which keys the journal's phantom-restore fast path and the
-  timing layer's delay-cache reuse;
+  untouched, which keys the journal's phantom restore and the timing
+  layer's delay-cache reuse;
 * **RC kernels** — Elmore delays run over flattened parent-pointer /
   cap / resistance arrays with two prefix passes
   (:func:`repro.timing.elmore.routed_sink_delays`), no per-node objects.
@@ -20,16 +20,12 @@ walks:
 Those arrays are not mirrors to keep in sync — they *are* the hot-path
 state, maintained by the same mutation points as the object books
 (``Channel.claim/release/reclaim``, the ``RoutingState`` commit/rip-up
-methods).  :class:`ArrayState` is the per-run bundle that (a) flips the
-gated fast paths on by installing itself as ``state.arrays`` and setting
-``timing.reuse_cache``, and (b) carries the cross-validation probes the
-``array-coherence`` sanitizer rule runs: array occupancy vs owner arrays
-vs per-net claims, and version-valid delay-cache entries vs a bit-exact
-recompute.
-
-numpy policy: auto-detected (:data:`HAVE_NUMPY`) and used only for
-exact integer bulk work in audits — never in float kernels, whose
-operation order defines the bit-identical results contract.
+methods).  :class:`ArrayState` holds the cross-validation probes the
+``array-coherence`` sanitizer rule runs over them: array occupancy vs
+owner arrays vs per-net claims, and version-valid delay-cache entries
+vs a bit-exact recompute.  The sanitizer and
+:func:`repro.lint.runtime.check_all` build it on demand; an unsanitized
+anneal never constructs one.
 """
 
 from __future__ import annotations
@@ -39,14 +35,6 @@ from typing import TYPE_CHECKING, Optional
 if TYPE_CHECKING:
     from ..route.state import RoutingState
     from ..timing.incremental import IncrementalTiming
-
-try:  # pragma: no cover - exercised via HAVE_NUMPY both ways in CI
-    import numpy as _np
-
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover
-    _np = None
-    HAVE_NUMPY = False
 
 
 def _expected_occ_masks(channel) -> list[int]:
@@ -62,50 +50,16 @@ def _expected_occ_masks(channel) -> list[int]:
 
 
 class ArrayState:
-    """Per-run flat-array bundle: index maps, live array views, probes.
-
-    Constructed once per annealer run (:func:`attach`); the index maps
-    are stable for the run because the netlist is frozen and the fabric
-    geometry never changes after construction.
-    """
+    """Coherence probes over one routing state and its timing engine."""
 
     def __init__(
         self, state: "RoutingState", timing: Optional["IncrementalTiming"]
     ) -> None:
         self.state = state
         self.timing = timing
-        fabric = state.fabric
-        # Stable index maps, built once: routing state is keyed by
-        # integer indices everywhere in the hot loop; the name maps
-        # exist for probes and reports that start from netlist names.
-        self.cell_index = {
-            cell.name: cell.index for cell in state.netlist.cells
-        }
-        self.net_index = {net.name: net.index for net in state.netlist.nets}
         self.num_nets = state.netlist.num_nets
-        self.num_channels = fabric.num_channels
-        self.num_vcolumns = len(fabric.vcolumns)
-        # Live views of the flat hot-path arrays (shared objects, not
-        # copies): per-net route versions, per-track occupancy bitmask
-        # lists per channel plane.
-        self.route_version = state.route_version
-        self.channel_occ = [channel._occ for channel in fabric.channels]
-        self.vcolumn_occ = [vc._channel._occ for vc in fabric.vcolumns]
-
-    @classmethod
-    def attach(
-        cls, state: "RoutingState", timing: Optional["IncrementalTiming"]
-    ) -> "ArrayState":
-        """Build the bundle and switch the gated fast paths on.
-
-        Mutates: ``state.arrays`` (journal phantom-restore keys on it)
-        and ``timing.reuse_cache`` (delay-cache version reuse).
-        """
-        arrays = cls(state, timing)
-        state.arrays = arrays
-        if timing is not None:
-            timing.reuse_cache = True
-        return arrays
+        self.num_channels = state.fabric.num_channels
+        self.num_vcolumns = len(state.fabric.vcolumns)
 
     # ------------------------------------------------------------------
     # Coherence probes (the sanitizer's array-coherence rule)
@@ -174,8 +128,9 @@ class ArrayState:
         """Cross-validate one net's version-valid delay-cache entry.
 
         A cache entry whose version matches the net's route version is
-        the one the reuse fast path would trust without recomputing;
-        this probe recomputes it and demands bit-exact agreement.
+        the one :meth:`IncrementalTiming.update_nets` trusts without
+        recomputing; this probe recomputes it and demands bit-exact
+        agreement.
         """
         timing = self.timing
         if timing is None:
@@ -183,7 +138,9 @@ class ArrayState:
         cached = timing._delay_cache[net_index]
         if cached is None:
             return []
-        if timing._cache_version[net_index] != self.route_version[net_index]:
+        if timing._cache_version[net_index] != (
+            self.state.route_version[net_index]
+        ):
             return []
         from ..timing.analyzer import net_sink_delays
 
@@ -223,42 +180,26 @@ class ArrayState:
         problems += self.audit_column_occupancy()
         return problems
 
-    # ------------------------------------------------------------------
-    # Bulk integer audits (numpy-accelerated when available)
-    # ------------------------------------------------------------------
     def audit_column_occupancy(self) -> list[str]:
         """Check every channel's column-occupancy histogram two ways.
 
         The object-graph side walks owner arrays
         (:meth:`Channel.column_occupancy`); the array side expands the
-        occupancy bitmasks over the segment geometry — vectorized with
-        numpy when available, pure integer Python otherwise.  Both are
-        exact integer computations, so they must agree everywhere.
+        occupancy bitmasks over the segment geometry.  Both are exact
+        integer computations, so they must agree everywhere.
         """
         problems: list[str] = []
         for channel in self.state.fabric.channels:
             expected = channel.column_occupancy()
-            width = channel.width
-            if HAVE_NUMPY:
-                counts = _np.zeros(width, dtype=_np.int64)
-                for track, segs in enumerate(channel.segmentation.tracks):
-                    occ = channel._occ[track]
-                    if not occ:
-                        continue
-                    for seg, (start, end) in enumerate(segs):
-                        if occ >> seg & 1:
-                            counts[start:end] += 1
-                got = counts.tolist()
-            else:
-                got = [0] * width
-                for track, segs in enumerate(channel.segmentation.tracks):
-                    occ = channel._occ[track]
-                    if not occ:
-                        continue
-                    for seg, (start, end) in enumerate(segs):
-                        if occ >> seg & 1:
-                            for col in range(start, end):
-                                got[col] += 1
+            got = [0] * channel.width
+            for track, segs in enumerate(channel.segmentation.tracks):
+                occ = channel._occ[track]
+                if not occ:
+                    continue
+                for seg, (start, end) in enumerate(segs):
+                    if occ >> seg & 1:
+                        for col in range(start, end):
+                            got[col] += 1
             if got != expected:
                 problems.append(
                     f"array-coherence: ch{channel.index} column occupancy "

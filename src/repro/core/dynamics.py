@@ -11,6 +11,7 @@ takes segments, then converges to zero.
 
 from __future__ import annotations
 
+import statistics
 from dataclasses import dataclass, field
 
 
@@ -102,7 +103,7 @@ class DynamicsTrace:
     # Shape checks (what Figure 6 is evidence of)
     # ------------------------------------------------------------------
     def _mean(self, values: list[float]) -> float:
-        return sum(values) / len(values) if values else 0.0
+        return statistics.fmean(values) if values else 0.0
 
     def placement_activity_decays(self) -> bool:
         """Perturbation activity in the first third exceeds the last third."""

@@ -16,7 +16,7 @@ recomputed from it — then routing claims, then timing).
 A move that touches no nets (a swap of cells with no terminals, or an
 unconnected pinmap change) frees no routing capacity, so the repair
 queues are exactly as hopeless as the previous transaction left them —
-the whole cascade is skipped when the router's fast path is on.
+the whole cascade is skipped.
 
 When a :class:`~repro.perf.Profiler` rides on the context, each phase
 of the cascade is timed under the guarded-probe pattern (a single
@@ -77,7 +77,7 @@ def apply_move(ctx: LayoutContext, move: Move) -> TransactionRecord:
         affected_nets.update(ctx.placement.netlist.nets_of_cell(cell_index))
 
     journal = NetJournal(ctx.state)
-    if not affected_nets and ctx.router.fast_path:
+    if not affected_nets:
         # Nothing ripped, nothing freed: repair would re-fail every
         # pending net and timing would re-derive every arrival bit-for-
         # bit.  Apply the placement mutation alone.

@@ -83,7 +83,6 @@ def run_simultaneous(
             "seed": resolved.seed,
             "config_digest": config_digest(resolved),
             "family_digest": config_digest(resolved, exclude=FAMILY_EXCLUDE),
-            "core": "array" if resolved.array_core else "legacy",
             "netlist": {"name": netlist.name, **netlist.stats()},
         },
     )

@@ -18,10 +18,9 @@ Python enforces either property, so this package does, twice over:
   flagged).  ``--deep`` escalates to a **whole-program** pass: a
   name-resolved call graph (:mod:`repro.lint.callgraph`) with
   transitive per-function effect inference
-  (:mod:`repro.lint.effects`) feeding four deep rules
+  (:mod:`repro.lint.effects`) feeding three deep rules
   (:mod:`repro.lint.deep`) — entropy/wall-clock reachable from the
-  annealer hot loop, guarded-state writes outside the journal,
-  array-vs-legacy dispatch branches with diverging effects, and
+  annealer hot loop, guarded-state writes outside the journal, and
   ``Mutates:`` docstrings out of sync with inferred effects — with
   ratchet semantics against the committed ``lint_baseline.json``,
   JSON/SARIF reports, and Graphviz DOT call-graph export.

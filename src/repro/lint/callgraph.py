@@ -95,7 +95,6 @@ class FunctionInfo:
     call_sites: list = field(default_factory=list)
     effect_sites: list = field(default_factory=list)  # EffectSite records
     write_sites: list = field(default_factory=list)  # WriteSite records
-    dispatch_ifs: list = field(default_factory=list)  # DispatchIf records
 
     @property
     def id(self) -> str:
@@ -146,7 +145,6 @@ class CallSite:
     """
 
     caller: str
-    node_id: int
     lineno: int
     col: int
     kind: str
@@ -163,7 +161,6 @@ class CallSite:
 class EffectSite:
     """One syntactic effect source inside a function body."""
 
-    node_id: int
     kind: str  # "mutates" | "entropy" | "wallclock" | "filesystem" | "stdout"
     target: str  # mutation target token, or source description
     lineno: int
@@ -175,25 +172,11 @@ class WriteSite:
     """A direct field write (store / del / container mutator) through an
     expression whose static type is a program class."""
 
-    node_id: int
     class_id: str
     attr: str
     via_self: bool  # base chain is rooted at the enclosing instance
     lineno: int
     col: int
-
-
-@dataclass
-class DispatchIf:
-    """An ``if`` whose test dispatches on an array-core style flag."""
-
-    node_id: int
-    lineno: int
-    col: int
-    flag: str
-    body_ids: frozenset  # ids of ast nodes in the taken branch
-    else_ids: frozenset  # ids of ast nodes in the other branch
-    has_else: bool
 
 
 class ModuleInfo:
@@ -780,10 +763,6 @@ BUILTIN_PROTOCOL_PURE = frozenset(
     }
 )
 
-#: attr names whose presence in an ``if`` test marks an array-core
-#: dispatch point (the PR-6 parity contract surface).
-DISPATCH_ATTRS = frozenset({"array_core", "arrays", "reuse_cache"})
-
 # External nondeterminism tables (dotted-call targets).
 _ENTROPY_MODULE_PREFIXES = ("secrets.",)
 _WALLCLOCK_TARGETS = frozenset(
@@ -846,7 +825,6 @@ class _FunctionScanner:
         #: local name -> ("alias", kind, target, callee, receiver_origin)
         self.callable_aliases: dict[str, tuple] = {}
         self.nested_defs: set[str] = set()
-        self.dispatch_locals: set[str] = set()
         self.enclosing_class_id = (
             f"{module.name}.{info.klass}" if info.klass else None
         )
@@ -857,7 +835,6 @@ class _FunctionScanner:
         self._collect_locals(self.info.node)
         for statement in body:
             self._scan_node(statement)
-        self._collect_dispatch_ifs(body)
 
     # ------------------------------------------------------------------
     # Pass A: locals
@@ -902,11 +879,6 @@ class _FunctionScanner:
                 self.local_origins.setdefault(node.optional_vars.id, ORIGIN_NEW)
 
     def _record_local(self, name: str, value, keep_type: bool = True) -> None:
-        # Dispatch-flag locals (``fast = state.arrays is not None``).
-        for sub in ast.walk(value):
-            if isinstance(sub, ast.Attribute) and sub.attr in DISPATCH_ATTRS:
-                self.dispatch_locals.add(name)
-                break
         pick = value
         if isinstance(pick, ast.IfExp):
             # ``x = None if c else obj.method`` — alias through the
@@ -1192,7 +1164,7 @@ class _FunctionScanner:
                     )
                     self.info.write_sites.append(
                         WriteSite(
-                            node_id=id(stmt), class_id=base_type,
+                            class_id=base_type,
                             attr=node.attr, via_self=via_self,
                             lineno=node.lineno, col=node.col_offset,
                         )
@@ -1215,7 +1187,7 @@ class _FunctionScanner:
     def _resolve_call(self, node: ast.Call) -> CallSite:
         func = node.func
         make = lambda kind, target, callee=None, receiver=None: CallSite(
-            caller=self.info.id, node_id=id(node), lineno=node.lineno,
+            caller=self.info.id, lineno=node.lineno,
             col=node.col_offset, kind=kind, target=target, callee=callee,
             receiver_origin=receiver,
         )
@@ -1271,7 +1243,7 @@ class _FunctionScanner:
     def _constructor_site(self, node: ast.Call, class_id: str) -> CallSite:
         init = self.program.lookup_method(class_id, "__init__")
         site = CallSite(
-            caller=self.info.id, node_id=id(node), lineno=node.lineno,
+            caller=self.info.id, lineno=node.lineno,
             col=node.col_offset, kind="class", target=class_id, callee=init,
             receiver_origin=ORIGIN_NEW,
         )
@@ -1393,7 +1365,7 @@ class _FunctionScanner:
                     lineno=None, col=None) -> None:
         self.info.effect_sites.append(
             EffectSite(
-                node_id=id(node), kind=kind, target=target,
+                kind=kind, target=target,
                 lineno=lineno if lineno is not None else node.lineno,
                 col=col if col is not None else node.col_offset,
             )
@@ -1473,65 +1445,9 @@ class _FunctionScanner:
                     )
                     self.info.write_sites.append(
                         WriteSite(
-                            node_id=id(node), class_id=base_type,
+                            class_id=base_type,
                             attr=chain.attr, via_self=via_self,
                             lineno=chain.lineno, col=chain.col_offset,
                         )
                     )
             chain = chain.value
-
-    # ------------------------------------------------------------------
-    # Dispatch points (core-parity-drift substrate)
-    # ------------------------------------------------------------------
-    def _test_is_dispatch(self, test) -> Optional[str]:
-        for sub in ast.walk(test):
-            if isinstance(sub, ast.Attribute) and sub.attr in DISPATCH_ATTRS:
-                return sub.attr
-            if isinstance(sub, ast.Name) and sub.id in self.dispatch_locals:
-                return sub.id
-        return None
-
-    def _collect_dispatch_ifs(self, body) -> None:
-        self._walk_block(list(body))
-
-    def _walk_block(self, stmts) -> None:
-        for index, stmt in enumerate(stmts):
-            if isinstance(stmt, ast.If):
-                flag = self._test_is_dispatch(stmt.test)
-                if flag is not None:
-                    self._record_dispatch(stmt, stmts[index + 1:], flag)
-            for attr in ("body", "orelse", "finalbody"):
-                inner = getattr(stmt, attr, None)
-                if inner:
-                    self._walk_block(list(inner))
-            for handler in getattr(stmt, "handlers", []) or []:
-                self._walk_block(list(handler.body))
-
-    @staticmethod
-    def _terminates(stmts) -> bool:
-        return bool(stmts) and isinstance(
-            stmts[-1], (ast.Return, ast.Continue, ast.Break, ast.Raise)
-        )
-
-    def _record_dispatch(self, stmt: ast.If, rest, flag: str) -> None:
-        body_stmts = stmt.body
-        if stmt.orelse:
-            else_stmts = stmt.orelse
-            has_else = True
-        elif self._terminates(body_stmts) and rest:
-            # Guard-style dispatch: ``if fast: ...; continue`` — the
-            # implicit else is the remainder of the enclosing block.
-            else_stmts = rest
-            has_else = False
-        else:
-            return  # pure add-on branch: nothing to compare against
-        collect = lambda nodes: frozenset(
-            id(sub) for root in nodes for sub in ast.walk(root)
-        )
-        self.info.dispatch_ifs.append(
-            DispatchIf(
-                node_id=id(stmt), lineno=stmt.lineno, col=stmt.col_offset,
-                flag=flag, body_ids=collect(body_stmts),
-                else_ids=collect(else_stmts), has_else=has_else,
-            )
-        )

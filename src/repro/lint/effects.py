@@ -29,7 +29,7 @@ effect the caller's caller can observe.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Optional
 
 from .callgraph import (
     ORIGIN_GLOBAL,
@@ -198,38 +198,3 @@ class EffectAnalysis:
             current = callee
         chain.append((current, None))
         return chain
-
-    def branch_effects(self, fn_id: str, node_ids: Iterable[int]) -> set:
-        """Effect set contributed by a subset of a function's AST nodes.
-
-        Used by the core-parity-drift rule to compare the two arms of a
-        dispatch ``if``: direct effect sites inside the branch plus the
-        mapped transitive effects of every call the branch makes.
-        ``maybe_mutates`` entries are excluded — both branches routinely
-        contain *different* unresolved calls, and a maybe-vs-maybe
-        mismatch would be pure noise.
-        """
-        ids = set(node_ids)
-        info = self.program.functions[fn_id]
-        out = set()
-        for site in info.effect_sites:
-            if site.node_id not in ids or site.kind == "maybe_mutates":
-                continue
-            if site.kind == "mutates":
-                out.add((site.kind, site.target))
-            else:
-                out.add((site.kind,))
-        for call in info.call_sites:
-            if call.node_id not in ids:
-                continue
-            for effect in self.map_call(call):
-                if effect[0] != "maybe_mutates":
-                    out.add(effect)
-        return out
-
-
-def format_effect(effect: tuple) -> str:
-    """Human-readable token for one effect tuple."""
-    if effect[0] in ENVIRONMENT_KINDS:
-        return effect[0]
-    return f"{effect[0]}({effect[1]})"

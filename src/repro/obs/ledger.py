@@ -12,8 +12,8 @@ two slices, and a self-contained HTML observatory
 Record identity
 ---------------
 ``record_digest`` is a sha256 over the record's *identity* fields —
-flow, design, netlist stats, seed, config digests, core, final cost
-terms, routedness, and move counts.  Wall-clock-derived telemetry
+flow, design, netlist stats, seed, config digests, final cost terms,
+routedness, and move counts.  Wall-clock-derived telemetry
 (``wall_time_s``, ``moves_per_sec``, ``normalized_score``, overhead
 ratios, per-section profiles), artifact paths, and user tags are
 :data:`VOLATILE_FIELDS`, deliberately outside the digest: two runs of
@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Optional, Union
 
-from .tracer import config_digest
+from .tracer import NON_IDENTITY_FIELDS, config_digest
 
 #: Version of the record vocabulary.  Adding optional fields is
 #: compatible; removing or re-interpreting a field requires a bump.
@@ -66,30 +66,10 @@ VOLATILE_FIELDS = (
 )
 
 #: Config fields excluded from ``family_digest`` (the seed-independent
-#: experiment identity): the seed itself, plus every knob proven not to
-#: affect results — instrumentation, budgets, checkpointing, and the
-#: bit-identical core/fast-path switches.  Mirrors the resilience
-#: layer's ``NON_IDENTITY_FIELDS`` reasoning (see
-#: :mod:`repro.resilience.checkpoint`) without importing it.
-FAMILY_EXCLUDE = (
-    "seed",
-    "array_core",
-    "fast_path",
-    "profile",
-    "trace",
-    "trace_stream",
-    "heartbeat_path",
-    "heartbeat_min_interval_s",
-    "sanitize",
-    "sanitize_every",
-    "snapshot_every",
-    "checkpoint_path",
-    "checkpoint_every",
-    "max_seconds",
-    "max_stages",
-    "max_moves",
-    "handle_signals",
-)
+#: experiment identity): the seed itself, plus every knob that does not
+#: shape the trajectory (:data:`repro.obs.tracer.NON_IDENTITY_FIELDS`,
+#: the same list the checkpoint's resume digest drops).
+FAMILY_EXCLUDE = ("seed",) + NON_IDENTITY_FIELDS
 
 
 class LedgerError(ValueError):
@@ -133,7 +113,6 @@ def make_record(
     fully_routed: bool,
     config_digest: Optional[str] = None,
     family_digest: Optional[str] = None,
-    core: Optional[str] = None,
     netlist: Optional[dict] = None,
     terms: Optional[dict] = None,
     final_cost: Optional[float] = None,
@@ -165,7 +144,6 @@ def make_record(
     optional = (
         ("config_digest", config_digest),
         ("family_digest", family_digest),
-        ("core", core),
         ("netlist", netlist),
         ("terms", terms),
         ("final_cost", final_cost),
@@ -200,9 +178,9 @@ def record_from_result(
     ``result`` is duck-typed to :class:`repro.flows.common.FlowResult`
     (``flow``/``design``/``metrics()``/``extra``/``wall_time_s``) so
     this module stays importable without :mod:`repro.flows`.  The flows
-    stash ``seed``/``config_digest``/``family_digest``/``core`` in
-    ``extra``; ``config`` is the fallback source when they are absent
-    (e.g. a hand-rolled result).
+    stash ``seed``/``config_digest``/``family_digest`` in ``extra``;
+    ``config`` is the fallback source when they are absent (e.g. a
+    hand-rolled result).
     """
     extra = getattr(result, "extra", None) or {}
     metrics = result.metrics()
@@ -238,7 +216,6 @@ def record_from_result(
         seed=seed,
         config_digest=digest,
         family_digest=family,
-        core=extra.get("core"),
         netlist=netlist_stats,
         terms=terms,
         final_cost=final_cost,
@@ -334,7 +311,6 @@ def select(
     tag: Optional[str] = None,
     digest: Optional[str] = None,
     family: Optional[str] = None,
-    core: Optional[str] = None,
 ) -> list[dict]:
     """The records matching every given filter (None = don't care)."""
     out = []
@@ -350,8 +326,6 @@ def select(
         if digest is not None and record.get("config_digest") != digest:
             continue
         if family is not None and record.get("family_digest") != family:
-            continue
-        if core is not None and record.get("core") != core:
             continue
         out.append(record)
     return out

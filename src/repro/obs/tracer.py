@@ -28,6 +28,30 @@ from .events import TRACE_SCHEMA_VERSION, RunTrace
 from .metrics import MetricsRegistry, counter_delta
 
 
+#: Config fields that do not shape the annealing trajectory: the
+#: resilience knobs (budgets, checkpoint cadence, signal handling) and
+#: the instrumentation flags (profiling, tracing, heartbeats,
+#: sanitizing, and snapshotting are all proven bit-identical).  The
+#: checkpoint's resume digest drops them, and so does the ledger's
+#: family digest (which also drops the seed).
+NON_IDENTITY_FIELDS = (
+    "checkpoint_path",
+    "checkpoint_every",
+    "max_seconds",
+    "max_stages",
+    "max_moves",
+    "handle_signals",
+    "profile",
+    "trace",
+    "trace_stream",
+    "heartbeat_path",
+    "heartbeat_min_interval_s",
+    "sanitize",
+    "sanitize_every",
+    "snapshot_every",
+)
+
+
 def config_digest(config: Any, exclude: tuple = ()) -> str:
     """Short, stable digest of a (possibly nested) config dataclass.
 

@@ -45,6 +45,7 @@ from typing import Optional, Union
 from ..arch.channel import ChannelClaim
 from ..arch.vertical import VerticalClaim
 from ..netlist.netlist import Netlist
+from ..obs.tracer import NON_IDENTITY_FIELDS
 from ..place.placement import Placement
 from ..route.state import RoutingState
 
@@ -57,27 +58,12 @@ CHECKPOINT_SCHEMA_VERSION = 1
 #: (structurally similar) layout files ``flows/layout_io.py`` writes.
 CHECKPOINT_KIND = "repro-anneal-checkpoint"
 
-#: Config fields that do not affect the annealing trajectory: the
-#: resilience knobs themselves (a resumed run may use different budgets
-#: or checkpoint cadence) and the instrumentation flags (profiling,
-#: tracing, sanitizing, and snapshotting are all proven bit-identical).
-NON_IDENTITY_FIELDS = (
-    "array_core",
-    "checkpoint_path",
-    "checkpoint_every",
-    "max_seconds",
-    "max_stages",
-    "max_moves",
-    "handle_signals",
-    "profile",
-    "trace",
-    "trace_stream",
-    "heartbeat_path",
-    "heartbeat_min_interval_s",
-    "sanitize",
-    "sanitize_every",
-    "snapshot_every",
-)
+#: Config keys that earlier versions wrote and the current
+#: ``AnnealerConfig`` no longer has: the switches that selected the
+#: retired object-graph move core and exhaustive repair.  Both were
+#: proven bit-identical to the one remaining core, so old checkpoints
+#: resume with the keys dropped.
+RETIRED_CONFIG_FIELDS = ("array_core", "fast_path")
 
 #: Annealer phases a checkpoint may record.
 PHASES = ("anneal", "greedy", "done")
@@ -389,17 +375,33 @@ def validate_payload(payload: dict, circuit: str, config) -> None:
             f"checkpoint is for circuit {payload.get('circuit')!r}, "
             f"this run is {circuit!r}"
         )
+    # The identity is recomputed from the payload's own config record
+    # (covered by the same envelope digest as the stored
+    # ``config_digest``) so that records carrying retired keys, whose
+    # stored digest included them, still compare equal.
+    stored = resume_digest(_config_record(payload))
     expected = resume_digest(config)
-    if payload.get("config_digest") != expected:
+    if stored != expected:
         raise CheckpointError(
             "checkpoint was written under a different configuration "
-            f"(digest {payload.get('config_digest')!r}, this run "
-            f"{expected!r}); resume with the original seed and knobs"
+            f"(digest {stored!r}, this run {expected!r}); resume with "
+            "the original seed and knobs"
         )
     if payload.get("phase") not in PHASES:
         raise CheckpointError(
             f"unknown checkpoint phase {payload.get('phase')!r}"
         )
+
+
+def _config_record(payload: dict) -> dict:
+    """The payload's config record without :data:`RETIRED_CONFIG_FIELDS`."""
+    record = payload.get("config")
+    if not isinstance(record, dict):
+        raise CheckpointError("checkpoint carries no config record")
+    return {
+        key: value for key, value in record.items()
+        if key not in RETIRED_CONFIG_FIELDS
+    }
 
 
 def config_from_payload(payload: dict):
@@ -412,10 +414,7 @@ def config_from_payload(payload: dict):
     from ..core.annealer import AnnealerConfig
     from ..core.schedule import ScheduleConfig
 
-    record = payload.get("config")
-    if not isinstance(record, dict):
-        raise CheckpointError("checkpoint carries no config record")
-    record = dict(record)
+    record = _config_record(payload)
     schedule = record.pop("schedule", None)
     try:
         if isinstance(schedule, dict):

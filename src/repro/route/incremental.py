@@ -100,37 +100,31 @@ class NetJournal:
         snapshots.  The two-phase order is what makes segment exchange
         between nets safe to undo.
 
-        Under the flat-array core (``state.arrays`` set), a journaled
-        net whose route version is unchanged since snapshot — typically
-        a neighbour that repair considered but never re-routed — is
-        provably already in its snapshot state, so the rip-up/re-commit
-        round trip collapses to :meth:`RoutingState.log_phantom_releases`,
-        which reproduces the round trip's only lasting side effects
-        (release-log entries and fail-cache clears) without touching
-        occupancy.  Changed nets restore geometry by assignment from
-        the snapshot instead of recomputing pin positions.  Both
-        shortcuts leave the routing state, release logs, and caches
-        bit-identical to the legacy path.
+        A journaled net whose route version is unchanged since snapshot
+        — typically a neighbour that repair considered but never
+        re-routed — is provably already in its snapshot state, so the
+        rip-up/re-commit round trip collapses to
+        :meth:`RoutingState.log_phantom_releases`, which reproduces the
+        round trip's only lasting side effects (release-log entries and
+        fail-cache clears) without touching occupancy.  Changed nets
+        restore geometry by assignment from the snapshot instead of
+        recomputing pin positions.
         """
         state = self._state
-        fast = state.arrays is not None
         versions = state.route_version
         changed: list[int] = []
         for net_index in sorted(self._snapshots):
-            if fast and versions[net_index] == self._snapshots[net_index].version:
+            if versions[net_index] == self._snapshots[net_index].version:
                 state.log_phantom_releases(net_index)
                 continue
             state.rip_up(net_index)
             changed.append(net_index)
         for net_index in changed:
             snap = self._snapshots[net_index]
-            if fast:
-                state.adopt_geometry(
-                    net_index, snap.pin_channels, snap.cmin, snap.cmax,
-                    snap.xmin, snap.xmax,
-                )
-            else:
-                state.refresh_geometry(net_index)
+            state.adopt_geometry(
+                net_index, snap.pin_channels, snap.cmin, snap.cmax,
+                snap.xmin, snap.xmax,
+            )
             if snap.vertical is not None:
                 state.fabric.vcolumns[snap.vertical.column].reclaim(
                     net_index, snap.vertical
@@ -148,15 +142,9 @@ class IncrementalRouter:
         self,
         state: RoutingState,
         segment_weight: float = DEFAULT_SEGMENT_WEIGHT,
-        fast_path: bool = True,
     ) -> None:
         self.state = state
         self.segment_weight = segment_weight
-        #: When True, :meth:`repair` visits only dirty channels and
-        #: skips attempts the negative caches prove will fail.  Results
-        #: are bit-identical either way; the flag exists so the golden
-        #: determinism test can compare against the exhaustive path.
-        self.fast_path = fast_path
         #: Trace metrics registry (repair success/failure and negative-
         #: cache hit counters); None unless tracing was requested.
         #: Recording mutates no routing state and reads no RNG, so a
@@ -204,22 +192,21 @@ class IncrementalRouter:
         the perturbed cell (e.g. a previously-unroutable net that
         succeeds in the more compliant intermediate placement).
 
-        Fast path: only channels with pending nets are visited, and a
-        net whose last attempt failed is skipped outright until some
-        capacity it could use has been released (see the negative
-        caches on :class:`RoutingState`).  Both shortcuts are exact —
-        a skipped attempt has no side effects and would fail again —
-        so the claims committed are identical to the exhaustive scan.
+        Only channels with pending nets are visited, and a net whose
+        last attempt failed is skipped outright until some capacity it
+        could use has been released (see the negative caches on
+        :class:`RoutingState`).  Both shortcuts are exact — a skipped
+        attempt has no side effects and would fail again — so the
+        claims committed are identical to an exhaustive scan.
 
         Mutates: the routing state (commits claims) and ``journal``
         (snapshots every net that gains one).  Pending sets are drained
         through ``sorted`` + :func:`ripup_order`, so the attempt order
-        is a pure function of queue contents on both paths.
+        is a pure function of queue contents.
         """
         state = self.state
         touched: set[int] = set()
         add_touched = touched.add
-        fast = self.fast_path
         mx = self.metrics
         fault_hook = FAULT_HOOK
         snapshot = None if journal is None else journal.snapshot
@@ -233,7 +220,7 @@ class IncrementalRouter:
 
         pending_global = ripup_order(state, sorted(state.unrouted_global))
         for net_index in pending_global:
-            if fast and hopeless_global(net_index):
+            if hopeless_global(net_index):
                 if mx is not None:
                     mx.count("cache.global_hit")
                 continue
@@ -246,15 +233,11 @@ class IncrementalRouter:
             if mx is not None:
                 mx.count("repair.global_ok" if ok else "repair.global_fail")
 
-        if fast:
-            channels: Iterable[int] = sorted(state.dirty_channels)
-        else:
-            channels = range(state.fabric.num_channels)
         unrouted_detail = state.unrouted_detail
-        for channel in channels:
+        for channel in sorted(state.dirty_channels):
             pending = ripup_order(state, sorted(unrouted_detail[channel]))
             for net_index in pending:
-                if fast and hopeless_detail(net_index, channel):
+                if hopeless_detail(net_index, channel):
                     if mx is not None:
                         mx.count("cache.detail_hit")
                     continue

@@ -172,15 +172,11 @@ class RoutingState:
         #: mutation of the net's route record (geometry refresh, rip-up,
         #: vertical/detail commit).  Version equality between two
         #: observations proves the record — claims, vertical, geometry —
-        #: is untouched in between; the flat-array core keys its journal
-        #: fast-restore and timing-cache reuse on it.  Starts at 0 and
+        #: is untouched in between; the journal's phantom restore and the
+        #: timing layer's delay-cache reuse key on it.  Starts at 0 and
         #: is ≥ 1 after construction (the initial geometry pass bumps
         #: every net), so 0 doubles as a "never valid" sentinel.
         self.route_version = array("Q", bytes(8 * len(self.routes)))
-        #: Flat-array mirror bundle (:class:`repro.core.arraystate.ArrayState`)
-        #: when the annealer runs with ``array_core=True``; None under
-        #: the legacy object-graph core.
-        self.arrays = None
         for net in self.netlist.nets:
             self.refresh_geometry(net.index)
 
@@ -258,9 +254,8 @@ class RoutingState:
             self.unrouted_global.discard(net_index)
         # The mirror lists are maintained sorted, so iterating them keeps
         # the mutation order (and hence any downstream observation of
-        # it) a function of contents, not of set insertion history —
-        # both fast and exhaustive repair paths must be order-invariant
-        # by construction.
+        # it) a function of contents, not of set insertion history, so
+        # repair is order-invariant by construction.
         unrouted_detail = self.unrouted_detail
         dirty_channels = self.dirty_channels
         old_pending = self._pending_channels[net_index]

@@ -7,7 +7,9 @@ few dozen cells so the whole suite stays fast.
 
 from __future__ import annotations
 
+import importlib.util
 import random
+from pathlib import Path
 
 import pytest
 
@@ -77,6 +79,21 @@ def micro_netlist():
         Net("n_c1", ("c1", "y"), (("po0", "pad_in"), ("ff0", "d"))),
     ]
     return build_netlist("micro", cells, nets)
+
+
+#: Committed fixtures: golden traces, ledger, and observatory page.
+DATA = Path(__file__).parent / "data"
+
+
+def fixture_generator():
+    """``data/make_ledger_fixture.py``, which wrote the ledger fixtures
+    (its ``sim_config`` and ``fixture_design`` define those runs)."""
+    spec = importlib.util.spec_from_file_location(
+        "make_ledger_fixture", DATA / "make_ledger_fixture.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def architecture_for(netlist, tracks=16, vtracks=6, utilization=0.8) -> Architecture:

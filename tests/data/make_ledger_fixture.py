@@ -48,9 +48,14 @@ def sim_config(seed: int) -> AnnealerConfig:
     )
 
 
-def main() -> None:
+def fixture_design():
+    """The netlist and architecture every fixture run uses."""
     netlist = tiny(seed=7, num_cells=28, depth=4)
-    arch = architecture_for(netlist, tracks_per_channel=10)
+    return netlist, architecture_for(netlist, tracks_per_channel=10)
+
+
+def main() -> None:
+    netlist, arch = fixture_design()
 
     ledger_path = HERE / "ledger_fixture.jsonl"
     ledger_path.unlink(missing_ok=True)

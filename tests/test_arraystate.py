@@ -1,13 +1,12 @@
-"""Array-core vs legacy-core parity for the flat-array move core.
+"""The flat-array move core: golden trajectory and coherence probes.
 
-``AnnealerConfig(array_core=True)`` (the default) switches the move
-transaction onto :mod:`repro.core.arraystate`: route-version keyed
-phantom restore, geometry restore by assignment, and delay-cache reuse
-across moves.  The contract is that the flag is *invisible* — every
-observable of a run (traces, snapshots, dynamics, final costs) must be
-bit-identical to the legacy object-graph core.  These tests enforce the
-contract property-style over several random small netlists and seeds,
-plus unit-level coverage of the coherence probes themselves.
+The move transaction's shortcuts — the journal's phantom restore and
+geometry restore by assignment, delay-cache reuse across moves, the
+repair negative caches, dirty-channel repair, and the zero-net move
+short-circuit — are all exact, so a run is pinned event for event by
+the committed fixture traces in ``tests/data``.  The probes that check
+each shortcut against a from-scratch recompute (the sanitizer's
+``array-coherence`` rule) are unit-tested here too.
 """
 
 import json
@@ -15,21 +14,24 @@ import json
 import pytest
 
 from repro.core import AnnealerConfig, ScheduleConfig, SimultaneousAnnealer
-from repro.core.arraystate import HAVE_NUMPY, ArrayState
+from repro.core.arraystate import ArrayState
+from repro.flows import run_simultaneous
 from repro.netlist import tiny
 
-from conftest import architecture_for
+from conftest import DATA, architecture_for, fixture_generator
+
+#: ``run_start`` manifest fields that legitimately change when config
+#: fields or the package version change; everything else in the trace
+#: is a function of the seed.
+SCRUBBED_MANIFEST = ("config", "config_digest", "package_version")
 
 
-def _config(seed, array_core, trace=False, snapshot_every=0, sanitize=False):
+def _config(seed, sanitize=False):
     return AnnealerConfig(
         seed=seed,
         attempts_per_cell=3,
         initial="clustered",
         greedy_rounds=1,
-        array_core=array_core,
-        trace=trace,
-        snapshot_every=snapshot_every,
         sanitize=sanitize,
         schedule=ScheduleConfig(
             lambda_=2.0, max_temperatures=6, freeze_patience=2
@@ -37,96 +39,70 @@ def _config(seed, array_core, trace=False, snapshot_every=0, sanitize=False):
     )
 
 
-def _anneal(netlist_seed, anneal_seed, array_core, **config_kw):
+def _anneal(netlist_seed, anneal_seed, **config_kw):
     netlist = tiny(seed=netlist_seed, num_cells=28, depth=4)
     arch = architecture_for(netlist, tracks=10, vtracks=5)
     annealer = SimultaneousAnnealer(
-        netlist, arch, _config(anneal_seed, array_core, **config_kw)
+        netlist, arch, _config(anneal_seed, **config_kw)
     )
     result = annealer.run()
     assert annealer.audit() == []
     return annealer, result
 
 
-def _scrubbed_events(trace):
-    """Trace events minus the fields that legitimately differ by core.
-
-    The ``run_start`` manifest embeds the full config — including the
-    ``array_core`` flag under test and a digest over it.  Everything
-    else (stage samples, metrics deltas, layout snapshots, run_end
-    terms) must match event-for-event.
-    """
-    events = json.loads(json.dumps(trace.events))  # deep copy, JSON types
+def _scrubbed(lines):
+    events = [json.loads(line) for line in lines]
     for event in events:
         if event.get("type") == "run_start":
-            event["manifest"].pop("config_digest", None)
-            event["manifest"]["config"].pop("array_core", None)
+            for key in SCRUBBED_MANIFEST:
+                event["manifest"].pop(key, None)
     return events
 
 
-class TestCoreParity:
-    """N random netlists x 2 seeds: both cores, identical everything."""
+class TestGoldenTrajectory:
+    """The fixture anneals reproduce their committed traces exactly."""
 
-    @pytest.mark.parametrize("netlist_seed", [11, 12, 13])
-    @pytest.mark.parametrize("anneal_seed", [3, 9])
-    def test_traces_costs_snapshots_identical(self, netlist_seed, anneal_seed):
-        _, fast = _anneal(
-            netlist_seed, anneal_seed, array_core=True,
-            trace=True, snapshot_every=2,
+    @pytest.mark.parametrize("seed", [3, 5])
+    def test_fixture_anneal_reproduces_committed_trace(self, seed):
+        generator = fixture_generator()
+        netlist, arch = generator.fixture_design()
+        result = run_simultaneous(netlist, arch, generator.sim_config(seed))
+        got = _scrubbed(result.extra["trace"].to_jsonl().splitlines())
+        committed = _scrubbed(
+            (DATA / f"ledger_trace_seed{seed}.jsonl")
+            .read_text(encoding="utf-8").splitlines()
         )
-        _, legacy = _anneal(
-            netlist_seed, anneal_seed, array_core=False,
-            trace=True, snapshot_every=2,
-        )
-        assert fast.moves_attempted == legacy.moves_attempted
-        assert fast.moves_accepted == legacy.moves_accepted
-        assert fast.temperatures == legacy.temperatures
-        assert fast.fully_routed == legacy.fully_routed
-        # Final cost terms bit-exact (float equality is the contract).
-        assert fast.terms == legacy.terms
-        # Per-temperature dynamics bit-exact.
-        assert fast.dynamics.samples == legacy.dynamics.samples
-        # Full event streams — including embedded layout snapshots —
-        # identical after scrubbing only the config-provenance fields.
-        assert _scrubbed_events(fast.trace) == _scrubbed_events(legacy.trace)
-
-    def test_final_layouts_identical(self):
-        _, fast = _anneal(21, 5, array_core=True)
-        _, legacy = _anneal(21, 5, array_core=False)
-        assert list(fast.placement.iter_placed()) == list(
-            legacy.placement.iter_placed()
-        )
-        assert fast.state.summary() == legacy.state.summary()
+        assert len(got) == len(committed)
+        for index, (event, expected) in enumerate(zip(got, committed)):
+            assert event == expected, (
+                f"event {index} ({expected.get('type')}) diverged from the "
+                "committed trace; if the trajectory change is intended, "
+                "re-baseline with PYTHONPATH=src python "
+                "tests/data/make_ledger_fixture.py"
+            )
 
 
 class TestArrayStateWiring:
-    def test_array_core_attaches_bundle(self):
-        annealer, result = _anneal(31, 1, array_core=True)
-        arrays = result.state.arrays
-        assert isinstance(arrays, ArrayState)
-        assert annealer.ctx.timing.reuse_cache is True
+    def test_probes_clean_after_run(self):
+        annealer, result = _anneal(31, 1)
+        arrays = ArrayState(result.state, annealer.ctx.timing)
         # Post-run coherence: occupancy masks, claim books, route
         # versions, and timing caches all agree with the object graph.
         assert arrays.check_all() == []
         assert arrays.audit_column_occupancy() == []
 
-    def test_legacy_core_leaves_state_bare(self):
-        annealer, result = _anneal(31, 1, array_core=False)
-        assert result.state.arrays is None
-        assert annealer.ctx.timing.reuse_cache is False
-
     def test_probe_rotates_and_stays_clean(self):
-        _, result = _anneal(32, 2, array_core=True)
-        arrays = result.state.arrays
+        annealer, result = _anneal(32, 2)
+        arrays = ArrayState(result.state, annealer.ctx.timing)
         # The sanitizer probe samples a different slice per move
         # counter; a settled state must be clean at every phase.
         for counter in range(8):
             assert arrays.probe(counter) == []
 
     def test_probe_detects_occupancy_divergence(self):
-        _, result = _anneal(33, 2, array_core=True)
+        _, result = _anneal(33, 2)
         state = result.state
-        arrays = state.arrays
+        arrays = ArrayState(state, None)
         # Flip one unowned segment bit in the occupancy bitmask behind
         # the books' back; the probe must flag the divergence.
         channel = state.fabric.channels[0]
@@ -143,13 +119,8 @@ class TestArrayStateWiring:
         pytest.skip("channel 0 fully occupied")  # pragma: no cover
 
     def test_sanitized_array_run_matches_plain(self):
-        _, plain = _anneal(34, 6, array_core=True)
-        _, sanitized = _anneal(34, 6, array_core=True, sanitize=True)
+        _, plain = _anneal(34, 6)
+        _, sanitized = _anneal(34, 6, sanitize=True)
         assert sanitized.moves_attempted == plain.moves_attempted
         assert sanitized.moves_accepted == plain.moves_accepted
         assert sanitized.terms == plain.terms
-
-    def test_numpy_flag_is_a_bool(self):
-        # The numpy backend is auto-detected; either way the audits
-        # above must have passed, so just pin the policy surface.
-        assert isinstance(HAVE_NUMPY, bool)

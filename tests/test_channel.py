@@ -3,6 +3,7 @@
 import pytest
 
 from repro.arch import Channel, custom_segmentation, uniform_segmentation
+from repro.arch.channel import tables_for
 
 
 @pytest.fixture
@@ -54,6 +55,13 @@ class TestCandidates:
 
     def test_candidates_lists_all_free_tracks(self, channel):
         assert len(list(channel.candidates(0, 11))) == 2
+
+    def test_tables_outlive_the_fabric_that_built_them(self):
+        # Every annealer builds its own fabric; an equal segmentation
+        # built later must find the candidate tables warm even after
+        # the first one is gone.
+        first = tables_for(custom_segmentation(12, [[4, 8], []]))
+        assert tables_for(custom_segmentation(12, [[4, 8], []])) is first
 
     def test_occupied_track_not_candidate(self, channel):
         candidate = channel.candidate_on(0, 0, 3)

@@ -54,7 +54,8 @@ from repro.obs.report import render_report, svg_overlay, svg_sparkline
 from repro.obs.tracer import config_digest
 from repro.resilience.faults import corrupt_file, truncate_file
 
-DATA = Path(__file__).parent / "data"
+from conftest import DATA, fixture_generator
+
 FIXTURE = DATA / "ledger_fixture.jsonl"
 GOLDEN = DATA / "ledger_report_golden.html"
 
@@ -278,7 +279,6 @@ class TestFlowIntegration:
         assert extra["seed"] == 11
         assert len(extra["config_digest"]) == 16
         assert len(extra["family_digest"]) == 16
-        assert extra["core"] == "array"
         assert extra["netlist"]["cells"] == 24
 
     def test_family_digest_is_seed_independent(self):
@@ -288,6 +288,14 @@ class TestFlowIntegration:
         assert config_digest(short_config(1)) != config_digest(short_config(2))
         other = AnnealerConfig(seed=1, attempts_per_cell=9)
         assert config_digest(other, exclude=FAMILY_EXCLUDE) != a
+
+    def test_family_digest_of_fixture_config_is_pinned(self):
+        # FAMILY_EXCLUDE is the shared non-identity list plus the seed;
+        # dropping fields from it (or from the config) must not move
+        # the identity of existing ledger families.
+        config = fixture_generator().sim_config(3)
+        assert config_digest(config, exclude=FAMILY_EXCLUDE) == \
+            "75b307edada0c519"
 
     def test_record_from_result_fills_terms_and_cost(self, flow_result):
         record = record_from_result(flow_result, tag="t",
@@ -299,7 +307,6 @@ class TestFlowIntegration:
             flow_result.extra["trace"].run_end["final_cost"]
         assert record["moves_attempted"] == \
             flow_result.extra["moves_attempted"]
-        assert record["core"] == "array"
         assert record["artifacts"] == {"trace": "x.jsonl"}
         assert record["tag"] == "t"
 
@@ -382,6 +389,34 @@ class TestRunsCli:
         out = capsys.readouterr().out
         assert "2 with traces" in out
         assert "per-seed variance" in out
+
+    def test_records_with_retired_core_field_still_read(
+        self, tmp_path, capsys
+    ):
+        # Ledgers written before the single move core carry a "core"
+        # field on run records; they still list, compare, gate, and
+        # render exactly as the same records without it.
+        old = tmp_path / "old.jsonl"
+        for record in read_ledger(FIXTURE).records:
+            record = dict(record, core="array")
+            record["record_digest"] = record_identity(record)
+            append_record(old, record)
+        for trace in DATA.glob("ledger_trace_seed*.jsonl"):
+            (tmp_path / trace.name).write_bytes(trace.read_bytes())
+        assert runs_main(["list", str(old)]) == RUNS_EXIT_OK
+        assert "3 records" in capsys.readouterr().out
+        assert runs_main(["compare", str(old)]) == RUNS_EXIT_OK
+        assert "2 with traces" in capsys.readouterr().out
+        assert runs_main(
+            ["regress", str(FIXTURE), "--baseline", str(old)]
+        ) == RUNS_EXIT_OK
+        html = tmp_path / "report.html"
+        assert runs_main([
+            "report", str(old), "--title", "Ledger fixture",
+            "--out", str(html),
+        ]) == RUNS_EXIT_OK
+        assert html.read_text(encoding="utf-8") == \
+            GOLDEN.read_text(encoding="utf-8")
 
     def test_regress_requires_a_baseline(self, capsys):
         code = runs_main(["regress", str(FIXTURE)])

@@ -1,13 +1,12 @@
-"""Tests for the repro.perf profiling subsystem and the hot-loop fast path.
+"""Tests for the repro.perf profiling subsystem.
 
 Three layers:
 
 1. unit tests of :class:`Profiler` / :class:`RunProfile` arithmetic;
 2. integration: a profiled anneal attaches a populated profile to its
    result without perturbing the layout;
-3. the golden-determinism guard — the whole point of the fast path is
-   that it is *invisible*: identical seeds must give bit-identical
-   metrics with the fast path on or off, and with profiling on or off.
+3. the golden-determinism guard — profiling is *invisible*: identical
+   seeds must give bit-identical metrics with profiling on or off.
 """
 
 from __future__ import annotations
@@ -167,21 +166,14 @@ class TestProfiledAnneal:
 
 
 class TestGoldenDeterminism:
-    """The fast path and the profiler must be invisible to results."""
-
-    def test_fast_path_matches_exhaustive_path(self):
-        ann_fast, fast = run_anneal(fast_path=True)
-        ann_slow, slow = run_anneal(fast_path=False)
-        assert comparable_metrics(fast) == comparable_metrics(slow)
-        assert ann_fast.audit() == []
-        assert ann_slow.audit() == []
+    """The profiler must be invisible to results."""
 
     def test_profile_does_not_perturb_results(self):
         _, plain = run_anneal(profile=False)
         _, profiled = run_anneal(profile=True)
         assert comparable_metrics(plain) == comparable_metrics(profiled)
 
-    def test_fast_path_routing_state_consistent(self):
-        annealer, result = run_anneal(fast_path=True)
+    def test_routing_state_consistent(self):
+        annealer, result = run_anneal()
         assert annealer.audit() == []
         assert result.fully_routed

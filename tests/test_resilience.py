@@ -39,6 +39,7 @@ from repro.resilience import (
 from repro.resilience.checkpoint import (
     CHECKPOINT_KIND,
     CHECKPOINT_SCHEMA_VERSION,
+    config_from_payload,
 )
 
 from conftest import architecture_for
@@ -283,6 +284,35 @@ class TestResumeDeterminism:
         resumed = SimultaneousAnnealer.resume(
             netlist, arch, path, config=micro_config()
         ).run()
+        assert comparable_metrics(resumed) == comparable_metrics(reference)
+        assert layout_digest(resumed) == layout_digest(reference)
+
+    def test_checkpoint_with_retired_core_keys_resumes(self, tmp_path):
+        # A checkpoint as earlier versions wrote it: the config record
+        # carries the retired core switches (array_core, fast_path),
+        # and the stored resume digest covers fast_path.  It must
+        # still load and resume onto the uninterrupted trajectory.
+        _, reference = run_anneal(micro_config())
+        path = tmp_path / "old.ckpt"
+        _, partial = run_anneal(micro_config(
+            checkpoint_path=str(path), checkpoint_every=1, max_stages=3,
+        ))
+        assert partial.interrupted is not None
+        payload = read_checkpoint(path)
+        record = payload["config"]
+        old_digest = resume_digest({**record, "fast_path": True})
+        assert old_digest != payload["config_digest"]
+        payload["config"] = {**record, "array_core": True, "fast_path": True}
+        payload["config_digest"] = old_digest
+        write_checkpoint(payload, path)  # reseals the envelope digest
+
+        restored = config_from_payload(read_checkpoint(path))
+        assert resume_digest(restored) == resume_digest(micro_config())
+        netlist, arch = make_design()
+        resumed = SimultaneousAnnealer.resume(
+            netlist, arch, path, config=micro_config()
+        ).run()
+        assert resumed.interrupted is None
         assert comparable_metrics(resumed) == comparable_metrics(reference)
         assert layout_digest(resumed) == layout_digest(reference)
 
