@@ -193,7 +193,12 @@ class TrackCandidate(NamedTuple):
 class Channel:
     """One segmented channel of the device, with per-segment occupancy."""
 
-    def __init__(self, index: int, segmentation: Segmentation) -> None:
+    def __init__(
+        self,
+        index: int,
+        segmentation: Segmentation,
+        column_masks: Optional[list[list[int]]] = None,
+    ) -> None:
         self.index = index
         self.segmentation = segmentation
         # _owner[t][s] is the net id occupying segment s of track t, or None.
@@ -210,6 +215,11 @@ class Channel:
         # both).  Feasibility of a segment run [first, last] is one
         # integer test: ``occ & run_mask == 0``.
         self._occ: list[int] = [0] * segmentation.num_tracks
+        # Vertical columns only: the fabric-wide table of
+        # :class:`~repro.arch.vertical.ColumnMasks`, in which bit
+        # ``index`` of ``column_masks[t][s]`` mirrors bit ``s`` of
+        # ``_occ[t]``.  None for horizontal channels.
+        self._column_masks = column_masks
 
     @property
     def width(self) -> int:
@@ -312,6 +322,10 @@ class Channel:
         self._occ[candidate.track] |= (1 << (candidate.last_seg + 1)) - (
             1 << candidate.first_seg
         )
+        if self._column_masks is not None:
+            self._mirror_columns(
+                candidate.track, candidate.first_seg, candidate.last_seg, True
+            )
         return ChannelClaim(
             self.index, candidate.track, candidate.first_seg, candidate.last_seg, lo, hi
         )
@@ -333,6 +347,8 @@ class Channel:
         self._occ[claim.track] &= ~(
             (1 << (claim.last_seg + 1)) - (1 << claim.first_seg)
         )
+        if self._column_masks is not None:
+            self._mirror_columns(claim.track, claim.first_seg, claim.last_seg, False)
 
     def reclaim(self, net: NetId, claim: ChannelClaim) -> None:
         """Re-commit a claim captured earlier (used by move rollback)."""
@@ -348,6 +364,18 @@ class Channel:
         self._occ[claim.track] |= (1 << (claim.last_seg + 1)) - (
             1 << claim.first_seg
         )
+        if self._column_masks is not None:
+            self._mirror_columns(claim.track, claim.first_seg, claim.last_seg, True)
+
+    def _mirror_columns(self, track: int, first: int, last: int, owned: bool) -> None:
+        """Set (``owned``) or clear this column's bit in a run's column masks."""
+        row = self._column_masks[track]
+        bit = 1 << self.index
+        for s in range(first, last + 1):
+            if owned:
+                row[s] |= bit
+            else:
+                row[s] &= ~bit
 
     def owner_of(self, track: int, seg: int) -> Optional[NetId]:
         """Net id owning a segment, or None if free."""

@@ -34,7 +34,7 @@ from typing import Callable, Optional
 
 from .channel import Channel
 from .segmentation import Segmentation, mixed_segmentation
-from .vertical import VerticalColumn, mixed_vertical_segmentation
+from .vertical import ColumnMasks, VerticalColumn, mixed_vertical_segmentation
 
 IO = "io"
 LOGIC = "logic"
@@ -97,8 +97,11 @@ class Fabric:
             Channel(c, channel_seg) for c in range(self.num_channels)
         ]
         vertical_seg = spec.vertical_scheme(self.num_channels, spec.vtracks_per_column)
+        # Global routing's all-columns view of vertical occupancy.
+        self.column_masks = ColumnMasks(vertical_seg, spec.cols)
         self.vcolumns: list[VerticalColumn] = [
-            VerticalColumn(x, vertical_seg) for x in range(spec.cols)
+            VerticalColumn(x, vertical_seg, self.column_masks)
+            for x in range(spec.cols)
         ]
 
     # ------------------------------------------------------------------

@@ -15,14 +15,18 @@ bounding-box center.
 The occupancy mechanics are identical to a horizontal channel with the
 coordinate axis reinterpreted (columns -> channels), so
 :class:`VerticalColumn` delegates to an internal
-:class:`~repro.arch.channel.Channel`.
+:class:`~repro.arch.channel.Channel`.  Every column of a fabric shares
+one vertical segmentation, so a fabric also keeps the transposed view,
+:class:`ColumnMasks`: per vertical segment, the set of columns where it
+is owned.  That view answers "which columns can carry this channel
+span?" for all columns at once.
 """
 
 from __future__ import annotations
 
 from typing import Iterator, NamedTuple, Optional
 
-from .channel import Channel, TrackCandidate
+from .channel import Channel, ChannelClaim, TrackCandidate, tables_for
 from .segmentation import Segmentation, full_length_segmentation, uniform_segmentation
 
 NetId = int
@@ -65,12 +69,92 @@ class VerticalClaim(NamedTuple):
         return self.cmax - self.cmin
 
 
-class VerticalColumn:
-    """Vertical tracks available at one column position."""
+class ColumnMasks:
+    """Per-segment column bitmasks shared by all of a fabric's columns.
 
-    def __init__(self, column: int, segmentation: Segmentation) -> None:
+    Bit ``x`` of ``masks[t][s]`` is set while segment ``s`` of vertical
+    track ``t`` is owned at column ``x``.  Each column's inner
+    :class:`~repro.arch.channel.Channel` keeps its bit in step from
+    ``claim``/``release``/``reclaim``, the only places its occupancy
+    changes.  Because the columns share the vertical segmentation, they
+    also share its candidate tables, so a few big-int operations per
+    vertical track find every column with a free run for a channel span.
+    """
+
+    __slots__ = ("masks", "_tables", "_all")
+
+    def __init__(self, segmentation: Segmentation, num_columns: int) -> None:
+        self.masks: list[list[int]] = [
+            [0] * len(track) for track in segmentation.tracks
+        ]
+        self._tables = tables_for(segmentation)
+        self._all = (1 << num_columns) - 1
+
+    def nearest_free(self, cmin: int, cmax: int, center: int) -> Optional[int]:
+        """The column nearest ``center`` with a free run over ``[cmin, cmax]``.
+
+        Ties go left, so this is the first column
+        :func:`repro.route.global_router.column_scan_order` yields whose
+        ``best_candidate`` is not None; None when no column has one.
+        ``center`` must be a column index.
+        """
+        # A column is blocked when every track's covering run has an
+        # owned segment there.
+        blocked = self._all
+        masks = self.masks
+        for _, track, first, last, _ in self._tables.tight_entries(cmin, cmax):
+            row = masks[track]
+            taken = row[first]
+            for s in range(first + 1, last + 1):
+                taken |= row[s]
+            blocked &= taken
+            if not blocked:
+                break
+        free = self._all ^ blocked
+        if not free:
+            return None
+        # Highest free column <= center, lowest free column >= center.
+        left = (free & ((2 << center) - 1)).bit_length() - 1
+        above = free >> center
+        if not above:
+            return left
+        right = center + (above & -above).bit_length() - 1
+        if left < 0 or right - center < center - left:
+            return right
+        return left
+
+    def mismatches(self, column: int, occ: list[int]) -> list[tuple[int, int]]:
+        """``(track, seg)`` pairs where bit ``column`` disagrees with ``occ``.
+
+        ``occ`` is the column's per-track occupancy bitmask list; the
+        sanitizer probes demand an empty result.
+        """
+        return [
+            (track, seg)
+            for track, row in enumerate(self.masks)
+            for seg, mask in enumerate(row)
+            if mask >> column & 1 != occ[track] >> seg & 1
+        ]
+
+
+class VerticalColumn:
+    """Vertical tracks available at one column position.
+
+    A fabric's columns pass their shared :class:`ColumnMasks`; a
+    standalone column carries none.
+    """
+
+    def __init__(
+        self,
+        column: int,
+        segmentation: Segmentation,
+        column_masks: Optional[ColumnMasks] = None,
+    ) -> None:
         self.column = column
-        self._channel = Channel(column, segmentation)
+        self._channel = Channel(
+            column, segmentation,
+            None if column_masks is None else column_masks.masks,
+        )
 
     @property
     def num_channels(self) -> int:
@@ -116,9 +200,7 @@ class VerticalColumn:
         """Re-commit a claim captured earlier (move rollback)."""
         self._channel.reclaim(net, self._to_channel_claim(claim))
 
-    def _to_channel_claim(self, claim: VerticalClaim):
-        from .channel import ChannelClaim
-
+    def _to_channel_claim(self, claim: VerticalClaim) -> ChannelClaim:
         if claim.column != self.column:
             raise ValueError(
                 f"claim for column {claim.column} applied to column {self.column}"

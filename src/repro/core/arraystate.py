@@ -115,14 +115,30 @@ class ArrayState:
         return self._channel_problems(f"ch{channel_index}", channel, claims)
 
     def probe_vcolumn(self, column: int) -> list[str]:
-        """Cross-validate one vertical column's occupancy arrays."""
-        vcolumn = self.state.fabric.vcolumns[column]
+        """Cross-validate one vertical column's occupancy arrays.
+
+        Beyond the per-channel checks, the column's bit in the fabric's
+        shared :class:`~repro.arch.vertical.ColumnMasks` must mirror its
+        occupancy bitmasks.
+        """
+        fabric = self.state.fabric
+        vcolumn = fabric.vcolumns[column]
         claims = [
             (route.net_index, route.vertical)
             for route in self.state.routes
             if route.vertical is not None and route.vertical.column == column
         ]
-        return self._channel_problems(f"vcol{column}", vcolumn._channel, claims)
+        problems = self._channel_problems(
+            f"vcol{column}", vcolumn._channel, claims
+        )
+        for track, seg in fabric.column_masks.mismatches(
+            column, vcolumn._channel._occ
+        ):
+            problems.append(
+                f"array-coherence: vcol{column} t{track} s{seg} column-mask "
+                f"bit disagrees with the occupancy bitmask"
+            )
+        return problems
 
     def probe_net_timing(self, net_index: int) -> list[str]:
         """Cross-validate one net's version-valid delay-cache entry.

@@ -7,12 +7,16 @@ vertical segments covering that span; the heuristic of the paper is to
 use "the available set of vertical segments that are closest to the
 center of a net's bounding box".
 
-:func:`route_net_global` implements exactly that: scan columns outward
-from the bounding-box center and take the first column with a feasible
-(least-wasteful) vertical candidate.  :func:`global_route_all` is the
-batch version used by the sequential baseline flow; the simultaneous
-annealer instead calls :func:`route_net_global` from the incremental
-repair loop.
+:func:`route_net_global` implements exactly that: it takes the column
+nearest the bounding-box center (ties: left, the order of
+:func:`column_scan_order`) that has a feasible vertical candidate, and
+the least-wasteful candidate there.  It probes the center column first;
+when that misses, one query over the fabric's
+:class:`~repro.arch.vertical.ColumnMasks` finds the nearest feasible
+column, or proves there is none, without visiting columns one by one.
+:func:`global_route_all` is the batch version used by the sequential
+baseline flow; the simultaneous annealer instead calls
+:func:`route_net_global` from the incremental repair loop.
 """
 
 from __future__ import annotations
@@ -23,7 +27,10 @@ from .state import RoutingState
 
 
 def column_scan_order(center: int, num_columns: int) -> Iterator[int]:
-    """Columns ordered by distance from ``center`` (ties: left first)."""
+    """Columns ordered by distance from ``center`` (ties: left first).
+
+    The reference order for the column :func:`route_net_global` picks.
+    """
     if not 0 <= center < num_columns:
         center = min(max(center, 0), num_columns - 1)
     yield center
@@ -54,18 +61,24 @@ def route_net_global(state: RoutingState, net_index: int) -> bool:
         # globally_routed, inlined (hot path).
         state.unrouted_global.discard(net_index)
         return True
-    center = (route.xmin + route.xmax) // 2
+    center = column = (route.xmin + route.xmax) // 2
     vcolumns = state.fabric.vcolumns
     cmin, cmax = route.cmin, route.cmax
-    for column in column_scan_order(center, len(vcolumns)):
+    candidate = vcolumns[center].best_candidate(cmin, cmax)
+    if candidate is None:
+        column = state.fabric.column_masks.nearest_free(cmin, cmax, center)
+        if column is None:
+            state.note_global_failure(net_index, cmin, cmax)
+            return False
         candidate = vcolumns[column].best_candidate(cmin, cmax)
         if candidate is None:
-            continue
-        claim = vcolumns[column].claim(net_index, candidate, cmin, cmax)
-        state.commit_vertical(net_index, claim)
-        return True
-    state.note_global_failure(net_index, cmin, cmax)
-    return False
+            raise RuntimeError(
+                f"column masks incoherent: column {column} reads free for "
+                f"channels [{cmin}, {cmax}] but has no vertical candidate"
+            )
+    claim = vcolumns[column].claim(net_index, candidate, cmin, cmax)
+    state.commit_vertical(net_index, claim)
+    return True
 
 
 def ripup_order(state: RoutingState, net_indices: Sequence[int]) -> list[int]:

@@ -716,4 +716,14 @@ class RoutingState:
                         f"occupancy bitmask drift: {label} t{track} mask "
                         f"{channel._occ[track]:#x}, owners imply {expected:#x}"
                     )
+        # The column masks global routing queries must mirror every
+        # vertical column's bitmasks in turn.
+        for vc in self.fabric.vcolumns:
+            for track, seg in self.fabric.column_masks.mismatches(
+                vc.column, vc._channel._occ
+            ):
+                problems.append(
+                    f"column mask drift: vcol{vc.column} t{track} s{seg} bit "
+                    f"disagrees with the occupancy bitmask"
+                )
         return problems

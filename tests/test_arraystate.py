@@ -118,6 +118,23 @@ class TestArrayStateWiring:
                     return
         pytest.skip("channel 0 fully occupied")  # pragma: no cover
 
+    def test_probes_detect_column_mask_divergence(self):
+        _, result = _anneal(33, 2)
+        state = result.state
+        arrays = ArrayState(state, None)
+        assert arrays.probe_vcolumn(0) == []
+        assert state.check_consistency() == []
+        # Flip column 0's bit for one vertical segment behind the books'
+        # back: both the sanitizer probe and the consistency audit must
+        # report it.
+        masks = state.fabric.column_masks.masks
+        masks[0][0] ^= 1
+        assert any("column-mask" in p for p in arrays.probe_vcolumn(0))
+        assert any("column mask" in p for p in state.check_consistency())
+        masks[0][0] ^= 1
+        assert arrays.probe_vcolumn(0) == []
+        assert state.check_consistency() == []
+
     def test_sanitized_array_run_matches_plain(self):
         _, plain = _anneal(34, 6)
         _, sanitized = _anneal(34, 6, sanitize=True)

@@ -64,11 +64,12 @@ class TestRouteNetGlobal:
         assert route_net_global(state, multi.net_index)
         assert multi.vertical is claim
 
-    def test_exhausted_columns_fail(self, state):
-        # Occupy a middle vertical segment of every column: no multi-
-        # channel net can find a free covering run anywhere.
+    @staticmethod
+    def _block_middle_channel(state):
+        """Occupy a middle vertical segment of every column; return the
+        multi-channel nets spanning it, none of which can find a free
+        covering run anywhere."""
         fabric = state.fabric
-        multi = next(r for r in state.routes if r.needs_vertical)
         blocker = state.netlist.num_nets + 1000
         mid = fabric.num_channels // 2
         for vcolumn in fabric.vcolumns:
@@ -81,9 +82,22 @@ class TestRouteNetGlobal:
             if r.needs_vertical and r.cmin <= mid <= r.cmax
         ]
         assert spanning, "expected a net spanning the blocked channel"
-        for route in spanning:
+        return spanning
+
+    def test_exhausted_columns_fail(self, state):
+        for route in self._block_middle_channel(state):
             assert not route_net_global(state, route.net_index)
             assert route.net_index in state.unrouted_global
+
+    def test_incoherent_column_masks_raise(self, state):
+        route = self._block_middle_channel(state)[0]
+        # Column 0 now reads free in the masks but has no candidate: a
+        # broken invariant, not a column to skip.
+        for row in state.fabric.column_masks.masks:
+            for seg in range(len(row)):
+                row[seg] &= ~1
+        with pytest.raises(RuntimeError, match="incoherent"):
+            route_net_global(state, route.net_index)
 
 
 class TestGlobalRouteAll:

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.arch import (
     Channel,
+    FabricSpec,
     Technology,
     generate_palette,
     mixed_segmentation,
@@ -198,6 +199,62 @@ class TestScanOrderProperties:
         order = list(column_scan_order(center, columns))
         distances = [abs(col - center) for col in order]
         assert distances == sorted(distances)
+
+
+class TestColumnMaskProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_nearest_free_is_first_feasible_in_scan_order(self, data):
+        cols = data.draw(st.integers(min_value=1, max_value=70), label="cols")
+        rows = data.draw(st.integers(min_value=1, max_value=5), label="rows")
+        vtracks = data.draw(st.integers(min_value=1, max_value=5), label="vtracks")
+        fabric = FabricSpec(
+            rows=rows, cols=cols, tracks_per_channel=1,
+            vtracks_per_column=vtracks, io_cols=0,
+        ).build()
+        vcolumns = fabric.vcolumns
+        channel = st.integers(min_value=0, max_value=rows)
+        column = st.integers(min_value=0, max_value=cols - 1)
+        cmin = data.draw(channel, label="cmin")
+        cmax = data.draw(st.integers(min_value=cmin, max_value=rows), label="cmax")
+        claims = []
+        for x, a, b in data.draw(
+            st.lists(st.tuples(column, channel, channel), max_size=60),
+            label="claims",
+        ):
+            lo, hi = min(a, b), max(a, b)
+            candidate = vcolumns[x].best_candidate(lo, hi)
+            if candidate is not None:
+                net = len(claims)
+                claims.append((net, vcolumns[x].claim(net, candidate, lo, hi)))
+        # Wall off one channel, usually inside the span, on every track
+        # of all but a few columns, so the span is often blocked at the
+        # center and sometimes everywhere.
+        wall = data.draw(
+            st.integers(min_value=cmin, max_value=cmax) | channel, label="wall"
+        )
+        center = data.draw(
+            st.sampled_from([0, cols - 1]) | column, label="center"
+        )
+        gaps = data.draw(st.sets(column, max_size=6), label="gaps")
+        if data.draw(st.booleans(), label="mirror"):
+            # Equidistant gaps on both sides exercise the tie-break.
+            gaps |= {2 * center - x for x in gaps if 0 <= 2 * center - x < cols}
+        for vcolumn in vcolumns:
+            if vcolumn.column not in gaps:
+                for track in range(vcolumn.num_tracks):
+                    candidate = vcolumn._channel.candidate_on(track, wall, wall)
+                    if candidate is not None:
+                        vcolumn.claim(-1, candidate, wall, wall)
+        for net, claim in claims:
+            if data.draw(st.booleans()):
+                vcolumns[claim.column].release(net, claim)
+        feasible = [
+            x for x in column_scan_order(center, cols)
+            if vcolumns[x].best_candidate(cmin, cmax) is not None
+        ]
+        found = fabric.column_masks.nearest_free(cmin, cmax, center)
+        assert found == (feasible[0] if feasible else None)
 
 
 class TestEstimatorProperties:
