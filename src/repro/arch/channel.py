@@ -43,16 +43,31 @@ class SegmentationTables:
       complete candidate set (run bounds, used length, wastage, and a
       segment-occupancy bitmask per run) is a static property of the
       segmentation.  Only *feasibility* depends on runtime occupancy,
-      which a single ``occ & mask`` test per entry answers.
+      which a single ``occ & mask`` test per entry answers;
+    * the packed-word layout — with ``S`` the most segments on any
+      track and ``field = S + 1``, a channel's packed occupancy word
+      keeps track ``t``'s bitmask at bits ``[t * field, t * field + S)``
+      and leaves bit ``t * field + S``, the track's *guard*, clear.
+      ``carry`` sets the low ``S`` bits of every field and ``guards``
+      every guard bit.  Each interval's table also holds its packed
+      run: every track's covering-run mask shifted to the track's
+      field.  Each field of ``word & run`` is below ``2**S``, so adding
+      ``carry`` sets a field's guard exactly when the field is nonzero
+      and never carries into the next field: ``((word & run) + carry)
+      & guards == guards`` holds exactly when no track is free.  With
+      no tracks, ``guards`` is 0 and the test answers "none free".
 
     The candidate tables are materialized lazily per distinct interval
     and kept pre-sorted in the two selection orders the routers use, so
     the hot scans (:meth:`Channel.best_weighted`,
-    :meth:`Channel.best_tight`) walk a static list and return at the
-    first entry whose run is free.
+    :meth:`Channel.best_tight`) first test the packed run and then walk
+    a static list, returning at the first entry whose run is free.
     """
 
-    __slots__ = ("width", "tracks", "starts", "seg_at", "_weighted", "_tight")
+    __slots__ = (
+        "width", "tracks", "starts", "seg_at", "field", "carry", "guards",
+        "_weighted", "_tight",
+    )
 
     def __init__(self, segmentation: Segmentation) -> None:
         self.width = segmentation.width
@@ -67,16 +82,34 @@ class SegmentationTables:
                 for col in range(start, end):
                     table[col] = index
             self.seg_at.append(table)
-        # weight -> (lo, hi) -> entries sorted by (cost, track);
-        # (lo, hi) -> entries sorted by (wastage, num_segments, track).
-        self._weighted: dict[float, dict[tuple[int, int], list[tuple]]] = {}
-        self._tight: dict[tuple[int, int], list[tuple]] = {}
+        most = max((len(track) for track in segmentation.tracks), default=0)
+        self.field = most + 1
+        self.carry = self.pack([(1 << most) - 1] * segmentation.num_tracks)
+        self.guards = self.pack([1 << most] * segmentation.num_tracks)
+        # weight -> (lo, hi) -> (packed run, entries sorted by (cost,
+        # track)); (lo, hi) -> (packed run, entries sorted by (wastage,
+        # num_segments, track)).
+        self._weighted: dict[
+            float, dict[tuple[int, int], tuple[int, list[tuple]]]
+        ] = {}
+        self._tight: dict[tuple[int, int], tuple[int, list[tuple]]] = {}
 
-    def _entries(self, lo: int, hi: int) -> list[tuple]:
-        """One raw candidate per track for ``[lo, hi]``, in track order.
+    def pack(self, occ: list[int]) -> int:
+        """Per-track occupancy bitmasks packed into one word.
 
-        Entry layout: ``(mask, track, first_seg, last_seg, used,
-        wastage, num_segments)``.
+        The layout the scans test (see the class docstring); a channel's
+        packed word must always equal ``pack`` of its bitmasks.
+        """
+        word = 0
+        for track, mask in enumerate(occ):
+            word |= mask << (track * self.field)
+        return word
+
+    def _entries(self, lo: int, hi: int) -> tuple[int, list[tuple]]:
+        """The packed run and one raw candidate per track for ``[lo, hi]``.
+
+        Candidates are in track order.  Entry layout: ``(mask, track,
+        first_seg, last_seg, used, wastage, num_segments)``.
         """
         entries = []
         span = hi - lo + 1
@@ -89,40 +122,43 @@ class SegmentationTables:
             entries.append(
                 (mask, track, first, last, used, used - span, last - first + 1)
             )
-        return entries
+        return self.pack([entry[0] for entry in entries]), entries
 
     def weighted_entries(
         self, lo: int, hi: int, weight: float
-    ) -> list[tuple]:
-        """Candidates for ``[lo, hi]`` sorted by (weighted cost, track).
+    ) -> tuple[int, list[tuple]]:
+        """The packed run, and candidates sorted by (weighted cost, track).
 
         First-feasible in this order is exactly the strict-``<`` minimum
         of ``wastage + weight * num_segments`` over candidates in track
         order — the selection :meth:`Channel.best_weighted` must make.
+        Entry layout: ``(mask, track, first_seg, last_seg, used)``.
         """
         per_weight = self._weighted.get(weight)
         if per_weight is None:
             per_weight = self._weighted[weight] = {}
-        entries = per_weight.get((lo, hi))
-        if entries is None:
-            raw = self._entries(lo, hi)
+        table = per_weight.get((lo, hi))
+        if table is None:
+            run, raw = self._entries(lo, hi)
             raw.sort(key=lambda e: (e[5] + weight * e[6], e[1]))
-            entries = per_weight[(lo, hi)] = [e[:5] for e in raw]
-        return entries
+            table = per_weight[(lo, hi)] = (run, [e[:5] for e in raw])
+        return table
 
-    def tight_entries(self, lo: int, hi: int) -> list[tuple]:
-        """Candidates sorted by (wastage, num_segments, track).
+    def tight_entries(self, lo: int, hi: int) -> tuple[int, list[tuple]]:
+        """The packed run, and candidates sorted by (wastage,
+        num_segments, track).
 
         First-feasible in this order matches the strict-``<`` scan over
         ``(wastage, num_segments)`` keys in track order — the selection
-        the vertical (global-routing) router makes.
+        the vertical (global-routing) router makes.  Entry layout as in
+        :meth:`weighted_entries`.
         """
-        entries = self._tight.get((lo, hi))
-        if entries is None:
-            raw = self._entries(lo, hi)
+        table = self._tight.get((lo, hi))
+        if table is None:
+            run, raw = self._entries(lo, hi)
             raw.sort(key=lambda e: (e[5], e[6], e[1]))
-            entries = self._tight[(lo, hi)] = [e[:5] for e in raw]
-        return entries
+            table = self._tight[(lo, hi)] = (run, [e[:5] for e in raw])
+        return table
 
 
 @lru_cache(maxsize=32)
@@ -201,6 +237,7 @@ class Channel:
     ) -> None:
         self.index = index
         self.segmentation = segmentation
+        self._width = segmentation.width
         # _owner[t][s] is the net id occupying segment s of track t, or None.
         self._owner: list[list[Optional[NetId]]] = [
             [None] * len(track) for track in segmentation.tracks
@@ -215,6 +252,14 @@ class Channel:
         # both).  Feasibility of a segment run [first, last] is one
         # integer test: ``occ & run_mask == 0``.
         self._occ: list[int] = [0] * segmentation.num_tracks
+        # _word is _occ packed at the tables' field offsets (track t's
+        # mask shifted left by t * _field; see SegmentationTables), kept
+        # in step by the same three methods.  It lets a scan prove every
+        # track blocked without walking the tracks.
+        self._word = 0
+        self._field = self._tables.field
+        self._carry = self._tables.carry
+        self._guards = self._tables.guards
         # Vertical columns only: the fabric-wide table of
         # :class:`~repro.arch.vertical.ColumnMasks`, in which bit
         # ``index`` of ``column_masks[t][s]`` mirrors bit ``s`` of
@@ -232,9 +277,11 @@ class Channel:
         return self.segmentation.num_tracks
 
     def _check_interval(self, lo: int, hi: int) -> None:
-        if not 0 <= lo <= hi < self.width:
+        # Runs before every table lookup: seg_at[t][lo] with a negative
+        # lo would silently read the last column's segment.
+        if not 0 <= lo <= hi < self._width:
             raise ValueError(
-                f"interval [{lo}, {hi}] outside channel of width {self.width}"
+                f"interval [{lo}, {hi}] outside channel of width {self._width}"
             )
 
     def _segment_at(self, track: int, col: int) -> int:
@@ -277,20 +324,17 @@ class Channel:
         Table-walk form of ``min(candidates(lo, hi), key=...)`` for the
         incremental router's hot loop: the shared segmentation tables
         keep every track's run for ``[lo, hi]`` pre-sorted by
-        ``(cost, track)``, so the scan is one occupancy-bitmask test per
-        entry and stops at the first free run.  Ties keep the lowest
-        track index, exactly like a strict ``<`` comparison over
-        :meth:`candidates` in track order — selection must stay
-        bit-identical to the generic path.
+        ``(cost, track)``.  After one packed-word test that returns
+        None when every run is blocked, the scan is one
+        occupancy-bitmask test per entry and stops at the first free
+        run.  Ties keep the lowest track index, exactly like a strict
+        ``<`` comparison over :meth:`candidates` in track order —
+        selection must stay bit-identical to the generic path.
         """
         self._check_interval(lo, hi)
-        occ = self._occ
-        for mask, track, first, last, used in self._tables.weighted_entries(
-            lo, hi, segment_weight
-        ):
-            if not occ[track] & mask:
-                return TrackCandidate(track, first, last, used, used - (hi - lo + 1))
-        return None
+        return self._first_free(
+            hi - lo + 1, self._tables.weighted_entries(lo, hi, segment_weight)
+        )
 
     def best_tight(self, lo: int, hi: int) -> Optional[TrackCandidate]:
         """Lowest ``(wastage, num_segments)`` candidate, ties to low track.
@@ -302,10 +346,26 @@ class Channel:
         :meth:`candidates` in track order.
         """
         self._check_interval(lo, hi)
+        return self._first_free(hi - lo + 1, self._tables.tight_entries(lo, hi))
+
+    def _first_free(
+        self, span: int, table: tuple[int, list[tuple]]
+    ) -> Optional[TrackCandidate]:
+        """The first entry of a presorted table whose run is free.
+
+        Most detail attempts on a busy channel fail, so one packed-word
+        test (see :class:`SegmentationTables`) first proves "every
+        track's covering run has an owned segment" without touching the
+        entries; only when some track may be free does the walk run.
+        """
+        run, entries = table
+        guards = self._guards
+        if ((self._word & run) + self._carry) & guards == guards:
+            return None
         occ = self._occ
-        for mask, track, first, last, used in self._tables.tight_entries(lo, hi):
+        for mask, track, first, last, used in entries:
             if not occ[track] & mask:
-                return TrackCandidate(track, first, last, used, used - (hi - lo + 1))
+                return TrackCandidate(track, first, last, used, used - span)
         return None
 
     def claim(self, net: NetId, candidate: TrackCandidate, lo: int, hi: int) -> ChannelClaim:
@@ -319,9 +379,9 @@ class Channel:
                 )
         for s in range(candidate.first_seg, candidate.last_seg + 1):
             owner[s] = net
-        self._occ[candidate.track] |= (1 << (candidate.last_seg + 1)) - (
-            1 << candidate.first_seg
-        )
+        run = (1 << (candidate.last_seg + 1)) - (1 << candidate.first_seg)
+        self._occ[candidate.track] |= run
+        self._word |= run << (candidate.track * self._field)
         if self._column_masks is not None:
             self._mirror_columns(
                 candidate.track, candidate.first_seg, candidate.last_seg, True
@@ -344,9 +404,9 @@ class Channel:
                     f"owned by {owner[s]}, expected net {net}"
                 )
             owner[s] = None
-        self._occ[claim.track] &= ~(
-            (1 << (claim.last_seg + 1)) - (1 << claim.first_seg)
-        )
+        run = (1 << (claim.last_seg + 1)) - (1 << claim.first_seg)
+        self._occ[claim.track] &= ~run
+        self._word &= ~(run << (claim.track * self._field))
         if self._column_masks is not None:
             self._mirror_columns(claim.track, claim.first_seg, claim.last_seg, False)
 
@@ -361,9 +421,9 @@ class Channel:
                 )
         for s in range(claim.first_seg, claim.last_seg + 1):
             owner[s] = net
-        self._occ[claim.track] |= (1 << (claim.last_seg + 1)) - (
-            1 << claim.first_seg
-        )
+        run = (1 << (claim.last_seg + 1)) - (1 << claim.first_seg)
+        self._occ[claim.track] |= run
+        self._word |= run << (claim.track * self._field)
         if self._column_masks is not None:
             self._mirror_columns(claim.track, claim.first_seg, claim.last_seg, True)
 

@@ -102,7 +102,8 @@ class ColumnMasks:
         # owned segment there.
         blocked = self._all
         masks = self.masks
-        for _, track, first, last, _ in self._tables.tight_entries(cmin, cmax):
+        _, entries = self._tables.tight_entries(cmin, cmax)
+        for _, track, first, last, _ in entries:
             row = masks[track]
             taken = row[first]
             for s in range(first + 1, last + 1):

@@ -7,7 +7,10 @@ walks:
   bitmask per track (bit ``s`` set = segment ``s`` owned), so route
   feasibility is a single ``occ & run_mask`` test against the shared
   per-segmentation candidate tables
-  (:class:`repro.arch.channel.SegmentationTables`);
+  (:class:`repro.arch.channel.SegmentationTables`), plus the same
+  bitmasks packed into one word per channel, one guarded field per
+  track, so a few big-int operations prove every track's run blocked
+  before any per-track test;
 * **route versions** — one monotonic counter per net
   (``RoutingState.route_version``, a stdlib ``array('Q')``), bumped by
   every route mutation; version equality proves a net's record is
@@ -65,7 +68,8 @@ class ArrayState:
     # Coherence probes (the sanitizer's array-coherence rule)
     # ------------------------------------------------------------------
     def _channel_problems(self, label: str, channel, claims) -> list[str]:
-        """Cross-validate one channel plane: bitmask vs owners vs claims.
+        """Cross-validate one channel plane: bitmasks vs owners vs claims,
+        and the packed word vs the bitmasks.
 
         ``claims`` maps net index -> claim-like record with ``track``,
         ``first_seg``, ``last_seg``.
@@ -101,6 +105,12 @@ class ArrayState:
                     f"{channel._occ[track]:#x} but committed claims imply "
                     f"{claim_mask[track]:#x}"
                 )
+        packed = channel._tables.pack(channel._occ)
+        if channel._word != packed:
+            problems.append(
+                f"array-coherence: {label} packed occupancy word "
+                f"{channel._word:#x} but the bitmasks pack to {packed:#x}"
+            )
         return problems
 
     def probe_channel(self, channel_index: int) -> list[str]:

@@ -700,7 +700,8 @@ class RoutingState:
                             f"owned by net {owner}"
                         )
         # The flat occupancy bitmasks must mirror the owner arrays
-        # bit-for-bit (horizontal channels and vertical columns alike).
+        # bit-for-bit, and the packed word the bitmasks (horizontal
+        # channels and vertical columns alike).
         for label, channel in [
             (f"ch{i}", ch) for i, ch in enumerate(self.fabric.channels)
         ] + [
@@ -716,6 +717,12 @@ class RoutingState:
                         f"occupancy bitmask drift: {label} t{track} mask "
                         f"{channel._occ[track]:#x}, owners imply {expected:#x}"
                     )
+            packed = channel._tables.pack(channel._occ)
+            if channel._word != packed:
+                problems.append(
+                    f"occupancy word drift: {label} packed word "
+                    f"{channel._word:#x}, bitmasks pack to {packed:#x}"
+                )
         # The column masks global routing queries must mirror every
         # vertical column's bitmasks in turn.
         for vc in self.fabric.vcolumns:

@@ -118,6 +118,36 @@ class TestArrayStateWiring:
                     return
         pytest.skip("channel 0 fully occupied")  # pragma: no cover
 
+    def test_probes_detect_packed_word_divergence(self):
+        _, result = _anneal(33, 2)
+        state = result.state
+        arrays = ArrayState(state, None)
+        planes = [
+            (state.fabric.channels[0], arrays.probe_channel),
+            (state.fabric.vcolumns[0]._channel, arrays.probe_vcolumn),
+        ]
+        for channel, probe in planes:
+            field = channel._tables.field
+            track, seg = next(
+                (track, seg)
+                for track, owners in enumerate(channel._owner)
+                for seg, owner in enumerate(owners)
+                if owner is None
+            )
+            # Flip a free segment's bit, then its track's guard bit, in
+            # the packed word only: the sanitizer probe and the
+            # consistency audit must both report each flip.
+            for bit in (seg, field - 1):
+                flip = 1 << (track * field + bit)
+                channel._word ^= flip
+                assert any("packed" in p for p in probe(0))
+                assert any(
+                    "occupancy word" in p for p in state.check_consistency()
+                )
+                channel._word ^= flip
+                assert probe(0) == []
+                assert state.check_consistency() == []
+
     def test_probes_detect_column_mask_divergence(self):
         _, result = _anneal(33, 2)
         state = result.state

@@ -32,6 +32,13 @@ class TestGeometry:
             channel.run_for(0, 0, 12)
         with pytest.raises(ValueError):
             channel.candidate_on(0, 5, 4)
+        # The scans check before any table lookup: seg_at[t][-1] would
+        # silently read the last column's segment.
+        for lo, hi in [(-1, 3), (0, 12), (5, 4)]:
+            with pytest.raises(ValueError):
+                channel.best_weighted(lo, hi, 4.0)
+            with pytest.raises(ValueError):
+                channel.best_tight(lo, hi)
 
 
 class TestCandidates:

@@ -10,12 +10,13 @@ from repro.arch import (
     Channel,
     FabricSpec,
     Technology,
+    custom_segmentation,
     generate_palette,
     mixed_segmentation,
     uniform_segmentation,
 )
 from repro.netlist import CircuitSpec, generate, validate
-from repro.route import column_scan_order
+from repro.route import DEFAULT_SEGMENT_WEIGHT, column_scan_order
 from repro.timing import RCTree
 from repro.timing.estimator import estimate_by_position
 
@@ -54,6 +55,15 @@ class TestSegmentationProperties:
     def test_with_tracks_preserves_validity(self, width, tracks, new_tracks):
         seg = mixed_segmentation(width, tracks).with_tracks(new_tracks)
         assert seg.num_tracks == new_tracks
+
+
+def _strict_min(candidates, key):
+    """The first candidate with the least ``key``, in iteration order."""
+    best = None
+    for candidate in candidates:
+        if best is None or key(candidate) < key(best):
+            best = candidate
+    return best
 
 
 class TestChannelProperties:
@@ -112,6 +122,60 @@ class TestChannelProperties:
             assert segments[candidate.last_seg][1] >= hi + 1
             assert candidate.wastage == candidate.used_length - (hi - lo + 1)
             assert candidate.wastage >= 0
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_scans_match_generic_reference(self, data):
+        """Both table scans pick what a strict-``<`` scan over
+        ``candidates`` in track order picks, under dense occupancy."""
+        width = data.draw(st.integers(min_value=1, max_value=30), label="width")
+        cuts = st.lists(
+            st.integers(min_value=1, max_value=max(1, width - 1)), max_size=8
+        )
+        # No tracks at all is allowed: the packed test must then answer
+        # None, like the empty candidate set.
+        boundaries = data.draw(
+            st.lists(cuts if width > 1 else st.just([]), max_size=8),
+            label="boundaries",
+        )
+        if width > 1 and boundaries and data.draw(st.booleans(), label="fine"):
+            # One track cut at every column sets the packed word's field
+            # size; the others are shorter.
+            fine = data.draw(
+                st.integers(min_value=0, max_value=len(boundaries) - 1),
+                label="fine_track",
+            )
+            boundaries[fine] = list(range(1, width))
+        other = data.draw(st.sampled_from([0.0, 0.5, 1.0, 10.0]), label="weight")
+        rng = random.Random(data.draw(st.integers(min_value=0, max_value=10_000)))
+        channel = Channel(0, custom_segmentation(width, boundaries))
+        live = []
+        for step in range(120):
+            # Claims outnumber releases, so fully blocked intervals are
+            # common; every fourth query asks for the full width.
+            lo = rng.randrange(width)
+            hi = rng.randrange(lo, width)
+            if step % 4 == 3:
+                lo, hi = 0, width - 1
+            candidates = list(channel.candidates(lo, hi))
+            for weight in (DEFAULT_SEGMENT_WEIGHT, other):
+                got = channel.best_weighted(lo, hi, weight)
+                assert got == _strict_min(
+                    candidates, lambda c: c.wastage + weight * c.num_segments
+                )
+                assert (got is None) == (not candidates)
+            got = channel.best_tight(lo, hi)
+            assert got == _strict_min(
+                candidates, lambda c: (c.wastage, c.num_segments)
+            )
+            assert (got is None) == (not candidates)
+            if live and rng.random() < 0.3:
+                net, claim = live.pop(rng.randrange(len(live)))
+                channel.release(net, claim)
+            elif candidates:
+                live.append(
+                    (step, channel.claim(step, rng.choice(candidates), lo, hi))
+                )
 
 
 class TestRCTreeProperties:
