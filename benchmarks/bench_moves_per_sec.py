@@ -24,40 +24,27 @@ CI smoke run with a regression gate against a checked-in baseline::
     PYTHONPATH=src python benchmarks/bench_moves_per_sec.py --smoke \
         --check benchmarks/baselines/moves_smoke.json --max-regression 0.30
 
-Each design is also re-run with ``repro.obs`` tracing enabled (same
-seed): the report records the traced throughput and the fractional
-overhead, and the run fails if tracing slows the hot loop by more than
-``--max-trace-overhead`` (default 5%) or — worse — perturbs the anneal
-(traced and untraced runs must be bit-identical).  ``--no-trace`` skips
-the comparison runs.
+Each design is then re-run with each instrumentation facility on, in
+paired best-of runs (:func:`measure_overhead`, one row per facility in
+:func:`overhead_gates`).  Every instrumented anneal must stay
+bit-identical to the plain one, and each facility may slow the hot
+loop by at most its limit (default 5% each):
 
-A further pair of runs gates periodic layout snapshots
-(``--snapshot-every``, default every 5 stages): snapshotting must cost
-at most ``--max-snapshot-overhead`` (default 5%) *relative to a plain
-traced run* — snapshots ride on the tracer, so that is the marginal
-cost a user opting in actually pays — and must likewise leave the
-anneal bit-identical.  ``--no-snapshot`` skips it.
+* tracing (``--max-trace-overhead``, ``--no-trace``);
+* layout snapshots every ``--snapshot-every`` stages, measured against
+  a *traced* run since snapshots ride on the tracer
+  (``--max-snapshot-overhead``, ``--no-snapshot``);
+* checkpoints every ``--checkpoint-every`` stages
+  (``--max-checkpoint-overhead``, ``--no-checkpoint``);
+* run-ledger recording, the timed window covering the locked append
+  (``--max-ledger-overhead``, ``--no-ledger-overhead``);
+* the live heartbeat sidecar at ``--heartbeat-interval`` (default
+  0.1 s, far below the 2 s production default)
+  (``--max-heartbeat-overhead``, ``--no-heartbeat``).
 
-Periodic crash-safe checkpoints (``--checkpoint-every``, default every
-5 stages) are gated the same way against a *plain* run — checkpointing
-is independent of the tracer — with ``--max-checkpoint-overhead``
-(default 5%), and the checkpointed anneal must stay bit-identical.
-``--no-checkpoint`` skips it.
-
-Run-ledger recording (``repro.obs.ledger``) is gated against a plain
-run too — the timed window covers the atomic ledger append — with
-``--max-ledger-overhead`` (default 5%) and the same bit-identity
-requirement; ``--no-ledger-overhead`` skips it.  ``--ledger PATH``
-additionally appends one ledger record per case (QoR, normalized
-score, measured overheads) for ``repro-fpga runs`` analytics.
-
-The live heartbeat sidecar (``heartbeat_path`` + ``repro-fpga watch``)
-is gated against a plain run as well, with the beat interval cranked
-down to ``--heartbeat-interval`` (default 0.1 s — far below the 2 s
-production default) so the gate covers many more atomic sidecar writes
-than a real run pays; ``--max-heartbeat-overhead`` (default 5%) bounds
-the slowdown and the beating anneal must stay bit-identical.
-``--no-heartbeat`` skips it.
+``--ledger PATH`` additionally appends one ledger record per case
+(QoR, normalized score, measured overheads) for ``repro-fpga runs``
+analytics.
 
 ``--profile`` additionally emits a per-phase timing breakdown (ripup /
 repair / timing / cost / rollback / other) into each design record so
@@ -78,7 +65,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+import tempfile
+from dataclasses import dataclass, field
 from pathlib import Path
 from time import perf_counter
 from typing import Optional, Sequence
@@ -105,24 +93,18 @@ def _schedule(max_temperatures: int) -> ScheduleConfig:
 
 
 def _config(
-    case: BenchCase, profile: bool, trace: bool = False,
-    snapshot_every: int = 0, checkpoint_path: Optional[str] = None,
-    checkpoint_every: int = 0, heartbeat_path: Optional[str] = None,
-    heartbeat_min_interval_s: float = 2.0,
+    case: BenchCase, profile: bool, **instrumentation,
 ) -> AnnealerConfig:
+    """The bench anneal; ``instrumentation`` sets further config fields
+    (tracing, snapshots, checkpoints, heartbeats)."""
     return AnnealerConfig(
         seed=1,
         attempts_per_cell=4,
         initial="clustered",
         greedy_rounds=1,
         profile=profile,
-        trace=trace,
-        snapshot_every=snapshot_every,
-        checkpoint_path=checkpoint_path,
-        checkpoint_every=checkpoint_every,
-        heartbeat_path=heartbeat_path,
-        heartbeat_min_interval_s=heartbeat_min_interval_s,
         schedule=_schedule(case.max_temperatures),
+        **instrumentation,
     )
 
 
@@ -196,26 +178,20 @@ def _phase_breakdown(profile: dict, wall: float) -> dict:
 
 def run_case(
     case: BenchCase, calibration_s: float, profile: bool,
-    trace: bool = False, snapshot_every: int = 0,
-    checkpoint_path: Optional[str] = None, checkpoint_every: int = 0,
-    ledger_path: Optional[str] = None,
-    heartbeat_path: Optional[str] = None,
-    heartbeat_min_interval_s: float = 2.0,
+    ledger_path: Optional[str] = None, **instrumentation,
 ) -> dict:
     """Run one benchmark case and return its result record.
 
     ``ledger_path`` appends a run-ledger record *inside* the timed
-    window, so the measured wall clock covers the atomic append — the
-    honest cost a ledger-recording run pays (the anneal itself is
-    untouched; recording is a pure read of the finished result).
+    window, so the measured wall clock covers the locked, fsynced
+    append — the honest cost a ledger-recording run pays (the anneal
+    itself is untouched; recording is a pure read of the finished
+    result).
     """
     netlist = generate(case.spec)
     arch = architecture_for(netlist, tracks_per_channel=case.tracks)
     annealer = SimultaneousAnnealer(
-        netlist, arch,
-        _config(case, profile, trace, snapshot_every,
-                checkpoint_path, checkpoint_every, heartbeat_path,
-                heartbeat_min_interval_s),
+        netlist, arch, _config(case, profile, **instrumentation),
     )
     t0 = perf_counter()
     result = annealer.run()
@@ -258,217 +234,119 @@ _DETERMINISM_KEYS = (
 )
 
 
-def measure_trace_overhead(
-    case: BenchCase, calibration_s: float, baseline: dict, reps: int = 3,
-) -> dict:
-    """Re-run one case with tracing on and compare against ``baseline``.
+@dataclass(frozen=True)
+class OverheadGate:
+    """One instrumentation facility whose cost the bench gates."""
 
-    Returns a record with the traced throughput, the fractional
-    normalized-score overhead relative to the untraced run, and whether
-    the traced run reproduced the baseline's results bit-exactly (the
-    repro.obs determinism contract).
+    #: Report field (and ledger ``overheads`` kind).
+    key: str
+    #: How the FAIL lines name the facility and an instrumented run.
+    noun: str
+    runner: str
+    #: Progress-line label.
+    title: str
+    #: Largest tolerated fractional slowdown.
+    limit: float
+    #: ``run_case`` overrides of the instrumented run.
+    run: dict
+    #: Settings echoed at the head of the report entry.
+    settings: dict = field(default_factory=dict)
+    #: Measure against a traced run instead of a plain one: snapshots
+    #: ride on the tracer, so the cost a user opting in actually pays
+    #: is the marginal cost over tracing.
+    traced_reference: bool = False
+
+
+def overhead_gates(args: argparse.Namespace, case: BenchCase,
+                   tmp: Path) -> list[OverheadGate]:
+    """The enabled overhead gates for one case, in run order.
+
+    Every gate also requires the instrumented anneal to stay
+    bit-identical to the plain one.  Checkpoints, ledger appends and
+    heartbeats write under ``tmp``; the heartbeat interval is cranked
+    far below the 2 s production default so the gate covers many more
+    sidecar writes than a real run pays.
+    """
+    rows = (
+        (not args.no_trace, OverheadGate(
+            "tracing", "trace", "traced", "traced",
+            args.max_trace_overhead, {"trace": True},
+        )),
+        (not args.no_trace and not args.no_snapshot, OverheadGate(
+            "snapshotting", "snapshot", "snapshotted",
+            f"snapshot every {args.snapshot_every}",
+            args.max_snapshot_overhead,
+            {"trace": True, "snapshot_every": args.snapshot_every},
+            {"snapshot_every": args.snapshot_every},
+            traced_reference=True,
+        )),
+        (not args.no_checkpoint, OverheadGate(
+            "checkpointing", "checkpoint", "checkpointed",
+            f"checkpoint every {args.checkpoint_every}",
+            args.max_checkpoint_overhead,
+            {"checkpoint_path": str(tmp / f"{case.name}.ckpt"),
+             "checkpoint_every": args.checkpoint_every},
+            {"checkpoint_every": args.checkpoint_every},
+        )),
+        (not args.no_ledger_overhead, OverheadGate(
+            "ledger", "ledger", "ledger-recording", "ledger recording",
+            args.max_ledger_overhead,
+            {"ledger_path": str(tmp / "ledger.jsonl")},
+        )),
+        (not args.no_heartbeat, OverheadGate(
+            "heartbeat", "heartbeat", "heartbeating",
+            f"heartbeat every {args.heartbeat_interval}s",
+            args.max_heartbeat_overhead,
+            {"heartbeat_path": str(tmp / f"{case.name}.hb"),
+             "heartbeat_min_interval_s": args.heartbeat_interval},
+            {"min_interval_s": args.heartbeat_interval},
+        )),
+    )
+    return [gate for enabled, gate in rows if enabled]
+
+
+def measure_overhead(
+    case: BenchCase, calibration_s: float, baseline: dict,
+    gate: OverheadGate, reps: int = 3,
+) -> dict:
+    """Re-run one case with ``gate``'s facility on; compare to reference.
+
+    Returns the instrumented throughput, the fractional
+    normalized-score overhead relative to the reference run, and
+    whether the instrumented run reproduced ``baseline`` (the plain
+    record) bit-exactly.
 
     Single timings of a multi-second anneal swing by ±10% on a busy
     host (warm-up drift alone exceeds the sub-5% overhead being gated),
     so the comparison is paired and best-of: ``reps`` interleaved
-    (untraced, traced) pairs, gating best score against best score.
-    ``baseline`` contributes one extra untraced sample.
+    (reference, instrumented) pairs, gating best score against best
+    score.  A plain reference also counts ``baseline`` as one sample.
     """
-    best_base = baseline
-    best_traced: Optional[dict] = None
+    reference_run = {"trace": True} if gate.traced_reference else {}
+    best_ref = None if gate.traced_reference else baseline
+    best: Optional[dict] = None
     for _ in range(reps):
-        again = run_case(case, calibration_s, profile=False)
-        if again["normalized_score"] > best_base["normalized_score"]:
-            best_base = again
-        traced = run_case(case, calibration_s, profile=False, trace=True)
-        if (best_traced is None
-                or traced["normalized_score"] > best_traced["normalized_score"]):
-            best_traced = traced
-    assert best_traced is not None
-    base_score = best_base["normalized_score"] or 1e-12
-    overhead = 1.0 - best_traced["normalized_score"] / base_score
-    return {
-        "moves_per_sec": best_traced["moves_per_sec"],
-        "normalized_score": best_traced["normalized_score"],
-        "trace_events": best_traced["trace_events"],
-        "overhead_frac": round(overhead, 4),
-        "metrics_identical": all(
-            best_traced[key] == baseline[key] for key in _DETERMINISM_KEYS
-        ),
-    }
-
-
-def measure_snapshot_overhead(
-    case: BenchCase, calibration_s: float, baseline: dict,
-    every: int = 5, reps: int = 3,
-) -> dict:
-    """Re-run one case traced + snapshotting and compare to plain tracing.
-
-    Snapshots ride on the tracer, so the honest cost of
-    ``snapshot_every`` is measured against a *traced* run, not an
-    uninstrumented one — the same paired best-of-``reps`` scheme as
-    :func:`measure_trace_overhead`.  ``baseline`` (the uninstrumented
-    record) is only used for the bit-identity check: snapshot capture
-    must consume no RNG and read no wall clock.
-    """
-    best_traced: Optional[dict] = None
-    best_snap: Optional[dict] = None
-    for _ in range(reps):
-        traced = run_case(case, calibration_s, profile=False, trace=True)
-        if (best_traced is None
-                or traced["normalized_score"] > best_traced["normalized_score"]):
-            best_traced = traced
-        snapped = run_case(
-            case, calibration_s, profile=False, trace=True,
-            snapshot_every=every,
-        )
-        if (best_snap is None
-                or snapped["normalized_score"] > best_snap["normalized_score"]):
-            best_snap = snapped
-    assert best_traced is not None and best_snap is not None
-    base_score = best_traced["normalized_score"] or 1e-12
-    overhead = 1.0 - best_snap["normalized_score"] / base_score
-    return {
-        "snapshot_every": every,
-        "moves_per_sec": best_snap["moves_per_sec"],
-        "normalized_score": best_snap["normalized_score"],
-        "trace_events": best_snap["trace_events"],
-        "overhead_frac": round(overhead, 4),
-        "metrics_identical": all(
-            best_snap[key] == baseline[key] for key in _DETERMINISM_KEYS
-        ),
-    }
-
-
-def measure_checkpoint_overhead(
-    case: BenchCase, calibration_s: float, baseline: dict,
-    every: int = 5, reps: int = 3,
-) -> dict:
-    """Re-run one case with periodic checkpointing and compare to plain.
-
-    Checkpoints are independent of the tracer, so the honest cost of
-    ``checkpoint_every`` is measured against an *uninstrumented* run —
-    the same paired best-of-``reps`` scheme as
-    :func:`measure_trace_overhead`.  The bit-identity check enforces the
-    resilience contract: serializing the full anneal state (layout, RNG,
-    schedule, timing arrays) must consume no RNG and read no wall clock.
-    """
-    import tempfile
-
-    best_base = baseline
-    best_ck: Optional[dict] = None
-    with tempfile.TemporaryDirectory(prefix="bench-ckpt-") as tmp:
-        path = str(Path(tmp) / f"{case.name}.ckpt")
-        for _ in range(reps):
-            again = run_case(case, calibration_s, profile=False)
-            if again["normalized_score"] > best_base["normalized_score"]:
-                best_base = again
-            checked = run_case(
-                case, calibration_s, profile=False,
-                checkpoint_path=path, checkpoint_every=every,
-            )
-            if (best_ck is None
-                    or checked["normalized_score"] > best_ck["normalized_score"]):
-                best_ck = checked
-    assert best_ck is not None
-    base_score = best_base["normalized_score"] or 1e-12
-    overhead = 1.0 - best_ck["normalized_score"] / base_score
-    return {
-        "checkpoint_every": every,
-        "moves_per_sec": best_ck["moves_per_sec"],
-        "normalized_score": best_ck["normalized_score"],
-        "overhead_frac": round(overhead, 4),
-        "metrics_identical": all(
-            best_ck[key] == baseline[key] for key in _DETERMINISM_KEYS
-        ),
-    }
-
-
-def measure_ledger_overhead(
-    case: BenchCase, calibration_s: float, baseline: dict, reps: int = 3,
-) -> dict:
-    """Re-run one case with ledger recording and compare to plain.
-
-    The ledger append happens after the anneal but inside the timed
-    window (see :func:`run_case`), so the gate measures the real cost
-    of the atomic whole-file rewrite on a growing ledger — the same
-    paired best-of-``reps`` scheme as :func:`measure_trace_overhead`.
-    The bit-identity check enforces the ledger contract: recording is a
-    pure read of the finished result, never perturbing the anneal.
-    """
-    import tempfile
-
-    best_base = baseline
-    best_led: Optional[dict] = None
-    with tempfile.TemporaryDirectory(prefix="bench-ledger-") as tmp:
-        path = str(Path(tmp) / "ledger.jsonl")
-        for _ in range(reps):
-            again = run_case(case, calibration_s, profile=False)
-            if again["normalized_score"] > best_base["normalized_score"]:
-                best_base = again
-            recorded = run_case(case, calibration_s, profile=False,
-                                ledger_path=path)
-            if (best_led is None
-                    or recorded["normalized_score"] > best_led["normalized_score"]):
-                best_led = recorded
-    assert best_led is not None
-    base_score = best_base["normalized_score"] or 1e-12
-    overhead = 1.0 - best_led["normalized_score"] / base_score
-    return {
-        "moves_per_sec": best_led["moves_per_sec"],
-        "normalized_score": best_led["normalized_score"],
-        "overhead_frac": round(overhead, 4),
-        "metrics_identical": all(
-            best_led[key] == baseline[key] for key in _DETERMINISM_KEYS
-        ),
-    }
-
-
-def measure_heartbeat_overhead(
-    case: BenchCase, calibration_s: float, baseline: dict, reps: int = 3,
-    min_interval_s: float = 0.1,
-) -> dict:
-    """Re-run one case with the heartbeat sidecar on and compare to plain.
-
-    The heartbeat is independent of the tracer, so its honest cost is
-    measured against an *uninstrumented* run — the same paired
-    best-of-``reps`` scheme as :func:`measure_trace_overhead`.  The
-    interval is deliberately cranked far below the 2 s default so the
-    gate covers many more atomic sidecar writes than a real run pays.
-    The bit-identity check enforces the live-observability contract:
-    beats read only the monotonic clock and never touch the anneal's
-    RNG, so a heartbeating run is bit-identical to a plain one.
-    """
-    import tempfile
-
-    best_base = baseline
-    best_hb: Optional[dict] = None
-    with tempfile.TemporaryDirectory(prefix="bench-hb-") as tmp:
-        path = str(Path(tmp) / f"{case.name}.hb")
-        for _ in range(reps):
-            again = run_case(case, calibration_s, profile=False)
-            if again["normalized_score"] > best_base["normalized_score"]:
-                best_base = again
-            beating = run_case(
-                case, calibration_s, profile=False,
-                heartbeat_path=path,
-                heartbeat_min_interval_s=min_interval_s,
-            )
-            if (best_hb is None
-                    or beating["normalized_score"] > best_hb["normalized_score"]):
-                best_hb = beating
-    assert best_hb is not None
-    base_score = best_base["normalized_score"] or 1e-12
-    overhead = 1.0 - best_hb["normalized_score"] / base_score
-    return {
-        "min_interval_s": min_interval_s,
-        "moves_per_sec": best_hb["moves_per_sec"],
-        "normalized_score": best_hb["normalized_score"],
-        "overhead_frac": round(overhead, 4),
-        "metrics_identical": all(
-            best_hb[key] == baseline[key] for key in _DETERMINISM_KEYS
-        ),
-    }
+        ref = run_case(case, calibration_s, profile=False, **reference_run)
+        if (best_ref is None
+                or ref["normalized_score"] > best_ref["normalized_score"]):
+            best_ref = ref
+        run = run_case(case, calibration_s, profile=False, **gate.run)
+        if best is None or run["normalized_score"] > best["normalized_score"]:
+            best = run
+    assert best is not None and best_ref is not None
+    overhead = 1.0 - best["normalized_score"] / (
+        best_ref["normalized_score"] or 1e-12
+    )
+    measured = dict(gate.settings)
+    measured["moves_per_sec"] = best["moves_per_sec"]
+    measured["normalized_score"] = best["normalized_score"]
+    if "trace_events" in best:
+        measured["trace_events"] = best["trace_events"]
+    measured["overhead_frac"] = round(overhead, 4)
+    measured["metrics_identical"] = all(
+        best[key] == baseline[key] for key in _DETERMINISM_KEYS
+    )
+    return measured
 
 
 def case_ledger_record(
@@ -480,8 +358,7 @@ def case_ledger_record(
     instrumentation overhead, so ``repro-fpga runs regress`` can gate
     ledger slices the same way the bench gates BENCH_moves.json.
     """
-    from repro.obs.ledger import FAMILY_EXCLUDE, make_record
-    from repro.obs.tracer import config_digest
+    from repro.obs.ledger import config_identity, make_record
 
     config = _config(case, profile=False)
     overheads = {
@@ -492,8 +369,7 @@ def case_ledger_record(
     }
     return make_record(
         flow="bench", design=case.name, seed=config.seed,
-        config_digest=config_digest(config),
-        family_digest=config_digest(config, exclude=FAMILY_EXCLUDE),
+        **config_identity(config),
         netlist={"cells": record["num_cells"], "nets": record["num_nets"]},
         worst_delay_ns=record["worst_delay_ns"],
         fully_routed=record["fully_routed"],
@@ -672,133 +548,38 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if not record["audit_clean"]:
             print(f"{name}: AUDIT FAILED", file=sys.stderr)
             ok = False
-        if not args.no_trace:
-            tracing = measure_trace_overhead(
-                case, calibration_s, record, reps=overhead_reps,
-            )
-            record["tracing"] = tracing
-            print(
-                f"{name} (traced): {tracing['moves_per_sec']:.1f} moves/s, "
-                f"{tracing['trace_events']} events, overhead "
-                f"{tracing['overhead_frac']:+.1%}"
-            )
-            if not tracing["metrics_identical"]:
-                print(
-                    f"FAIL: {name}: traced run diverged from untraced run",
-                    file=sys.stderr,
+        with tempfile.TemporaryDirectory(prefix="bench-overhead-") as tmp:
+            for gate in overhead_gates(args, case, Path(tmp)):
+                measured = measure_overhead(
+                    case, calibration_s, record, gate, reps=overhead_reps,
                 )
-                ok = False
-            if tracing["overhead_frac"] > args.max_trace_overhead:
-                print(
-                    f"FAIL: {name}: trace overhead "
-                    f"{tracing['overhead_frac']:.1%} exceeds limit "
-                    f"{args.max_trace_overhead:.0%}",
-                    file=sys.stderr,
+                record[gate.key] = measured
+                events = (
+                    f"{measured['trace_events']} events, "
+                    if "trace_events" in measured else ""
                 )
-                ok = False
-        if not args.no_trace and not args.no_snapshot:
-            snapshotting = measure_snapshot_overhead(
-                case, calibration_s, record, every=args.snapshot_every,
-                reps=overhead_reps,
-            )
-            record["snapshotting"] = snapshotting
-            print(
-                f"{name} (snapshot every {snapshotting['snapshot_every']}): "
-                f"{snapshotting['moves_per_sec']:.1f} moves/s, "
-                f"{snapshotting['trace_events']} events, overhead "
-                f"{snapshotting['overhead_frac']:+.1%} vs traced"
-            )
-            if not snapshotting["metrics_identical"]:
+                reference = "traced" if gate.traced_reference else "plain"
                 print(
-                    f"FAIL: {name}: snapshotted run diverged from plain run",
-                    file=sys.stderr,
+                    f"{name} ({gate.title}): "
+                    f"{measured['moves_per_sec']:.1f} moves/s, {events}"
+                    f"overhead {measured['overhead_frac']:+.1%} "
+                    f"vs {reference}"
                 )
-                ok = False
-            if snapshotting["overhead_frac"] > args.max_snapshot_overhead:
-                print(
-                    f"FAIL: {name}: snapshot overhead "
-                    f"{snapshotting['overhead_frac']:.1%} exceeds limit "
-                    f"{args.max_snapshot_overhead:.0%}",
-                    file=sys.stderr,
-                )
-                ok = False
-        if not args.no_checkpoint:
-            checkpointing = measure_checkpoint_overhead(
-                case, calibration_s, record, every=args.checkpoint_every,
-                reps=overhead_reps,
-            )
-            record["checkpointing"] = checkpointing
-            print(
-                f"{name} (checkpoint every "
-                f"{checkpointing['checkpoint_every']}): "
-                f"{checkpointing['moves_per_sec']:.1f} moves/s, overhead "
-                f"{checkpointing['overhead_frac']:+.1%} vs plain"
-            )
-            if not checkpointing["metrics_identical"]:
-                print(
-                    f"FAIL: {name}: checkpointed run diverged from plain run",
-                    file=sys.stderr,
-                )
-                ok = False
-            if checkpointing["overhead_frac"] > args.max_checkpoint_overhead:
-                print(
-                    f"FAIL: {name}: checkpoint overhead "
-                    f"{checkpointing['overhead_frac']:.1%} exceeds limit "
-                    f"{args.max_checkpoint_overhead:.0%}",
-                    file=sys.stderr,
-                )
-                ok = False
-        if not args.no_ledger_overhead:
-            ledgering = measure_ledger_overhead(
-                case, calibration_s, record, reps=overhead_reps,
-            )
-            record["ledger"] = ledgering
-            print(
-                f"{name} (ledger recording): "
-                f"{ledgering['moves_per_sec']:.1f} moves/s, overhead "
-                f"{ledgering['overhead_frac']:+.1%} vs plain"
-            )
-            if not ledgering["metrics_identical"]:
-                print(
-                    f"FAIL: {name}: ledger-recording run diverged from "
-                    f"plain run",
-                    file=sys.stderr,
-                )
-                ok = False
-            if ledgering["overhead_frac"] > args.max_ledger_overhead:
-                print(
-                    f"FAIL: {name}: ledger overhead "
-                    f"{ledgering['overhead_frac']:.1%} exceeds limit "
-                    f"{args.max_ledger_overhead:.0%}",
-                    file=sys.stderr,
-                )
-                ok = False
-        if not args.no_heartbeat:
-            heartbeat = measure_heartbeat_overhead(
-                case, calibration_s, record, reps=overhead_reps,
-                min_interval_s=args.heartbeat_interval,
-            )
-            record["heartbeat"] = heartbeat
-            print(
-                f"{name} (heartbeat every {heartbeat['min_interval_s']}s): "
-                f"{heartbeat['moves_per_sec']:.1f} moves/s, overhead "
-                f"{heartbeat['overhead_frac']:+.1%} vs plain"
-            )
-            if not heartbeat["metrics_identical"]:
-                print(
-                    f"FAIL: {name}: heartbeating run diverged from "
-                    f"plain run",
-                    file=sys.stderr,
-                )
-                ok = False
-            if heartbeat["overhead_frac"] > args.max_heartbeat_overhead:
-                print(
-                    f"FAIL: {name}: heartbeat overhead "
-                    f"{heartbeat['overhead_frac']:.1%} exceeds limit "
-                    f"{args.max_heartbeat_overhead:.0%}",
-                    file=sys.stderr,
-                )
-                ok = False
+                if not measured["metrics_identical"]:
+                    print(
+                        f"FAIL: {name}: {gate.runner} run diverged from "
+                        f"plain run",
+                        file=sys.stderr,
+                    )
+                    ok = False
+                if measured["overhead_frac"] > gate.limit:
+                    print(
+                        f"FAIL: {name}: {gate.noun} overhead "
+                        f"{measured['overhead_frac']:.1%} exceeds limit "
+                        f"{gate.limit:.0%}",
+                        file=sys.stderr,
+                    )
+                    ok = False
         if args.ledger:
             from repro.obs.ledger import append_record
 

@@ -16,10 +16,16 @@ execution"):
    ``-SIGKILL`` exit code is on the journal, the journal replays
    cleanly (``jobs status --json`` exit 0, no problems), and every
    job's layout digest is **bit-identical** to the reference batch —
-   kill/retry schedule notwithstanding.
+   kill/retry schedule notwithstanding;
+4. **one ledger** — both batches record into ``<outdir>/ledger.jsonl``
+   (``--ledger`` on every supervisor), which must read back without
+   problems, hold exactly one record per job of each batch, and give
+   the chaos batch the reference batch's record identities: a retried
+   trajectory is the same trajectory, wherever its checkpoints landed.
 
-Artifacts (both journals, per-job workdirs, status snapshots, a
-``service_smoke.json`` verdict) land in ``--outdir`` for upload.
+Artifacts (both journals, the ledger, per-job workdirs, status
+snapshots, a ``service_smoke.json`` verdict) land in ``--outdir`` for
+upload.
 Exit status is non-zero if any scenario misbehaves.
 
 Usage::
@@ -37,6 +43,8 @@ import subprocess
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
+
+from repro.obs.ledger import LedgerError, read_ledger
 
 #: Exit codes pinned here must match repro.service.status.
 JOBS_EXIT_OK = 0
@@ -105,7 +113,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             sys.stderr.write(proc.stdout[-2000:] + proc.stderr[-2000:])
         return passed
 
-    patient = ["--stall-timeout", "3600", "--startup-grace", "3600"]
+    ledger = outdir / "ledger.jsonl"
+    patient = [
+        "--stall-timeout", "3600", "--startup-grace", "3600",
+        "--ledger", str(ledger),
+    ]
 
     # -- 1. reference batch: no faults, straight through ----------------
     ref_journal = outdir / "reference.jsonl"
@@ -175,6 +187,23 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         sorted(chaos.values()) == sorted(reference.values())
         and all(chaos.values()),
         {"reference": reference, "chaos": chaos},
+    ) and ok
+
+    try:
+        recorded = read_ledger(ledger)
+        records, problems = recorded.records, recorded.problems
+    except LedgerError as exc:
+        records, problems = [], [str(exc)]
+    digests = [record.get("record_digest") for record in records]
+    ref_digests = sorted(map(str, digests[:args.count]))
+    chaos_digests = sorted(map(str, digests[args.count:]))
+    ok = record(
+        "ledger_identities_match",
+        not problems
+        and len(records) == 2 * args.count
+        and chaos_digests == ref_digests,
+        {"problems": problems, "records": len(records),
+         "reference": ref_digests, "chaos": chaos_digests},
     ) and ok
 
     verdict["passed"] = ok

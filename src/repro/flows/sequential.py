@@ -362,8 +362,7 @@ def run_sequential(
     failed_global = global_route_all(state)
     failures = detail_route_all(state, config.segment_weight)
     report = analyze(state, architecture.technology)
-    from ..obs.ledger import FAMILY_EXCLUDE
-    from ..obs.tracer import config_digest
+    from ..obs.ledger import config_identity
 
     return FlowResult(
         flow="sequential",
@@ -379,8 +378,7 @@ def run_sequential(
             "trace": (placer.tracer.finish()
                       if placer.tracer is not None else None),
             "seed": config.seed,
-            "config_digest": config_digest(config),
-            "family_digest": config_digest(config, exclude=FAMILY_EXCLUDE),
+            **config_identity(config),
             "netlist": {"name": netlist.name, **netlist.stats()},
         },
     )

@@ -56,11 +56,10 @@ def run_simultaneous(
     )
     result = annealer.run()
     report = analyze(result.state, architecture.technology)
-    # Run-identity digests for the ledger (repro.obs.ledger): the full
-    # config digest, the seed-independent family digest, and which move
-    # core executed — all derived from the annealer's resolved config.
-    from ..obs.ledger import FAMILY_EXCLUDE
-    from ..obs.tracer import config_digest
+    # Run-identity digests for the ledger (repro.obs.ledger): the
+    # trajectory-shaping config digest and the seed-independent family
+    # digest, both derived from the annealer's resolved config.
+    from ..obs.ledger import config_identity
 
     resolved = annealer.config
     return FlowResult(
@@ -81,8 +80,7 @@ def run_simultaneous(
             "interrupted": result.interrupted,
             "checkpoint": result.checkpoint_path,
             "seed": resolved.seed,
-            "config_digest": config_digest(resolved),
-            "family_digest": config_digest(resolved, exclude=FAMILY_EXCLUDE),
+            **config_identity(resolved),
             "netlist": {"name": netlist.name, **netlist.stats()},
         },
     )

@@ -2,7 +2,8 @@
 
 Also reachable as ``repro-fpga trace <cmd>`` from the main CLI.
 Exit codes: 0 = ok, 1 = problems found (invalid trace / cost-
-reconstruction mismatch), 2 = bad invocation.
+reconstruction mismatch), 2 = bad invocation.  A torn final trace
+line is dropped with a warning; ``validate`` counts it a failure.
 """
 
 from __future__ import annotations
@@ -32,6 +33,8 @@ def render_json(payload: object) -> str:
 
 def _load(path: str) -> RunTrace:
     trace = read_trace(Path(path))
+    for problem in trace.problems:
+        print(f"warning: {path}: {problem}", file=sys.stderr)
     problems = trace.validate()
     if problems:
         for problem in problems:
@@ -94,7 +97,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
         if args.command == "validate":
             trace = _load(args.trace)  # exits 1 on schema problems
-            failures = 0
+            failures = len(trace.problems)  # a torn tail is damage here
             end = trace.run_end
             if end is not None and end.get("final_cost") is not None:
                 rebuilt = reconstructed_cost(end)

@@ -21,10 +21,11 @@ so any vocabulary change forces an explicit version decision.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Optional, Union
+
+from ..resilience import jsonl
 
 #: Version of the event vocabulary written into every run manifest.
 #: v2 added the ``checkpoint`` event (and the optional ``interrupted``
@@ -113,6 +114,8 @@ class RunTrace:
     """One run's complete event stream, in emission order."""
 
     events: list[dict] = field(default_factory=list)
+    #: Tolerated damage met reading the trace (a torn final line).
+    problems: list[str] = field(default_factory=list)
 
     # -- structure accessors -------------------------------------------
     @property
@@ -170,10 +173,7 @@ class RunTrace:
     # -- serialization -------------------------------------------------
     def to_jsonl(self) -> str:
         """The trace as JSONL text (one compact JSON object per line)."""
-        return "".join(
-            json.dumps(event, sort_keys=True, separators=(",", ":")) + "\n"
-            for event in self.events
-        )
+        return "".join(jsonl.encode(event) for event in self.events)
 
     def write_jsonl(self, path: Union[str, Path]) -> None:
         """Write the trace to ``path`` as JSONL, atomically."""
@@ -185,21 +185,12 @@ class RunTrace:
 def read_trace(path: Union[str, Path]) -> RunTrace:
     """Load a JSONL trace from disk.
 
-    Raises ``ValueError`` on malformed JSON lines; structural schema
-    problems are left to :meth:`RunTrace.validate` so tooling can load
-    a slightly-off trace and still report what is wrong with it.
+    A torn final line (a killed run's live stream) is dropped into
+    :attr:`RunTrace.problems`; other damage raises ``ValueError``.
+    Schema problems are left to :meth:`RunTrace.validate`.
     """
-    events: list[dict] = []
-    text = Path(path).read_text(encoding="utf-8")
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            events.append(json.loads(line))
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}:{lineno}: malformed JSONL: {exc}") from exc
-    return RunTrace(events)
+    events, problems = jsonl.read(path, ValueError, "trace event")
+    return RunTrace(events, problems)
 
 
 def reconstructed_cost(stage_or_end: dict) -> Optional[float]:

@@ -18,21 +18,19 @@ routedness, and move counts.  Wall-clock-derived telemetry
 ratios, per-section profiles), artifact paths, and user tags are
 :data:`VOLATILE_FIELDS`, deliberately outside the digest: two runs of
 the same code with the same seed produce the *same* identity no matter
-how slow the host was.  Ledger recording happens strictly after the
+how slow the host was, or where its artifacts landed
+(:func:`config_identity`).  Ledger recording happens strictly after the
 run (a pure read of already-computed results — no RNG, no clock reads
 feeding the anneal), so a ledger-recording run stays bit-identical to
 an unrecorded one; ``tests/test_ledger.py`` pins both properties.
 
 Durability
 ----------
-Appends rewrite the whole file through
-:func:`repro.resilience.atomic.atomic_write_text`, so a crash can
-never tear a record mid-line under the real name.  Ledgers written by
-other tools (or torn by a genuinely non-atomic ``>>`` append) degrade
-gracefully: :func:`read_ledger` tolerates a truncated *final* line —
-the signature of a torn append — reporting it as a problem while
-keeping every complete record, and raises :class:`LedgerError` for
-corruption anywhere else.
+The ledger is an append-only log under the contract every log shares
+(:mod:`repro.resilience.jsonl`): concurrent recorders cannot erase
+each other's records, a torn final line is dropped into
+:attr:`Ledger.problems`, and damage anywhere else is a
+:class:`LedgerError`.
 """
 
 from __future__ import annotations
@@ -44,7 +42,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Optional, Union
 
-from .tracer import NON_IDENTITY_FIELDS, config_digest
+from ..resilience import jsonl
+from .tracer import NON_IDENTITY_FIELDS, config_digest, trajectory_digest
 
 #: Version of the record vocabulary.  Adding optional fields is
 #: compatible; removing or re-interpreting a field requires a bump.
@@ -70,6 +69,16 @@ VOLATILE_FIELDS = (
 #: shape the trajectory (:data:`repro.obs.tracer.NON_IDENTITY_FIELDS`,
 #: the same list the checkpoint's resume digest drops).
 FAMILY_EXCLUDE = ("seed",) + NON_IDENTITY_FIELDS
+
+
+def config_identity(config: Any) -> dict:
+    """A record's ``config_digest`` (the trajectory digest: runs that
+    differ only in artifact paths, budgets or instrumentation share it)
+    and ``family_digest`` (which also drops the seed) for ``config``."""
+    return {
+        "config_digest": trajectory_digest(config),
+        "family_digest": config_digest(config, exclude=FAMILY_EXCLUDE),
+    }
 
 
 class LedgerError(ValueError):
@@ -188,12 +197,11 @@ def record_from_result(
     digest = extra.get("config_digest")
     family = extra.get("family_digest")
     if config is not None:
+        identity = config_identity(config)
         if seed is None:
             seed = getattr(config, "seed", None)
-        if digest is None:
-            digest = config_digest(config)
-        if family is None:
-            family = config_digest(config, exclude=FAMILY_EXCLUDE)
+        digest = digest or identity["config_digest"]
+        family = family or identity["family_digest"]
     terms = {
         "G": metrics.get("global_unrouted"),
         "D": metrics.get("detail_unrouted"),
@@ -237,66 +245,18 @@ def record_from_result(
 # Persistence
 # ----------------------------------------------------------------------
 def append_record(path: Union[str, Path], record: dict) -> None:
-    """Append one record to the ledger at ``path``, atomically.
-
-    The whole file is rewritten through the atomic tmp+fsync+rename
-    helper, so a crash mid-append leaves either the old ledger or the
-    new one — never a torn line under the real name.
-    """
-    from ..resilience.atomic import atomic_write_text
-
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    existing = ""
-    if path.exists():
-        existing = path.read_text(encoding="utf-8")
-        if existing and not existing.endswith("\n"):
-            existing += "\n"
-    line = json.dumps(record, sort_keys=True, separators=(",", ":"))
-    atomic_write_text(path, existing + line + "\n", kind="ledger")
+    """Append one record to the ledger at ``path`` (one locked line)."""
+    jsonl.append(path, record)
 
 
 def read_ledger(path: Union[str, Path]) -> Ledger:
-    """Load a ledger from disk.
-
-    Raises :class:`LedgerError` when the file is missing or when any
-    line *other than the last* is malformed (mid-file corruption is
-    damage, not a torn append).  A malformed or truncated final line is
-    tolerated — that is exactly what a crash during a non-atomic append
-    leaves behind — and reported in :attr:`Ledger.problems`.
-    """
+    """Load a ledger; :class:`LedgerError` if it is missing or damaged."""
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        records, problems = jsonl.read(path, LedgerError, "ledger record")
     except FileNotFoundError:
         raise LedgerError(f"{path}: no such ledger") from None
-    except OSError as exc:
-        raise LedgerError(f"{path}: unreadable ledger: {exc}") from exc
-    ledger = Ledger(path=path)
-    lines = [
-        (number, line.strip())
-        for number, line in enumerate(text.splitlines(), start=1)
-        if line.strip()
-    ]
-    for position, (number, line) in enumerate(lines):
-        last = position == len(lines) - 1
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            if last:
-                ledger.problems.append(
-                    f"line {number}: torn final record dropped ({exc.msg})"
-                )
-                continue
-            raise LedgerError(
-                f"{path}:{number}: corrupted ledger record: {exc.msg}"
-            ) from exc
-        if not isinstance(record, dict):
-            raise LedgerError(
-                f"{path}:{number}: ledger record is not a JSON object"
-            )
-        ledger.records.append(record)
-    return ledger
+    return Ledger(path=path, records=records, problems=problems)
 
 
 # ----------------------------------------------------------------------

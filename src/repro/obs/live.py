@@ -15,11 +15,11 @@ module is the in-flight window, built from three cooperating pieces:
   run stays bit-identical to a plain run and the deep-lint
   transitive-nondeterminism rule stays clean; watchers derive beat age
   from the file's mtime on their own side.
-* :class:`TraceFollower` — incremental JSONL tail-follow over a
-  growing trace stream, tolerating torn final lines and rotation
-  exactly like :class:`repro.obs.ledger.Ledger` tolerates a torn
-  append: complete lines parse, the trailing partial line waits for
-  the rest, damage is reported in ``.problems`` instead of raising.
+* :class:`TraceFollower` — incremental tail-follow over a growing
+  trace stream, decoding lines with the one JSONL codec every log
+  shares (:mod:`repro.resilience.jsonl`): complete lines decode, the
+  trailing partial line waits for the rest, and rotation and damaged
+  lines are reported in ``.problems`` instead of raising.
 * :class:`AnomalyEngine` — the per-detector functions refactored out
   of :func:`repro.obs.summary.find_anomalies` (stalled acceptance,
   weight oscillation, repair collapse) plus two live-only detectors:
@@ -41,6 +41,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional, Union
 
+from ..resilience import jsonl
 from .events import RunTrace
 
 #: Version of the heartbeat vocabulary.  Removing a field or changing a
@@ -259,13 +260,13 @@ class TraceFollower:
     """Incremental reader over a growing JSONL trace stream.
 
     Each :meth:`poll` reads the bytes appended since the previous poll,
-    parses the complete lines into events, and buffers a torn final
-    line until its remainder arrives.  Rotation/truncation (the file
-    shrinking under the follower) restarts the follow from offset zero
-    with a note in ``problems``; malformed complete lines are dropped
-    with a note, mirroring :func:`repro.obs.ledger.read_ledger`'s
-    damage tolerance.  ``trace`` always views every event parsed so
-    far, so the summary detectors run on it directly.
+    decodes the complete lines (:func:`repro.resilience.jsonl.decode`),
+    and holds a partial final line until its remainder arrives.
+    Rotation/truncation (the file shrinking under the follower)
+    restarts the follow from offset zero with a note in ``problems``; a
+    damaged complete line is dropped with a note, not raised.
+    ``trace`` always views every event decoded so far, so the summary
+    detectors run on it directly.
     """
 
     def __init__(self, path: Union[str, Path]) -> None:
@@ -306,20 +307,14 @@ class TraceFollower:
         # or a torn line still being written — hold it for next poll.
         self._pending = lines.pop()
         fresh: list[dict] = []
-        for raw in lines:
-            line = raw.decode("utf-8", errors="replace").strip()
-            if not line:
+        for line in lines:
+            if not line.strip():
                 continue
             try:
-                event = json.loads(line)
-            except json.JSONDecodeError as exc:
+                event = jsonl.decode(line)
+            except ValueError as exc:
                 self.problems.append(
-                    f"{self.path}: malformed line dropped ({exc.msg})"
-                )
-                continue
-            if not isinstance(event, dict):
-                self.problems.append(
-                    f"{self.path}: non-object line dropped"
+                    f"{self.path}: malformed line dropped ({exc})"
                 )
                 continue
             self.events.append(event)

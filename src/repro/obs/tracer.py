@@ -24,6 +24,7 @@ import json
 from typing import Any, Optional
 
 from ..perf import Profiler, maybe_profiler
+from ..resilience import jsonl
 from .events import TRACE_SCHEMA_VERSION, RunTrace
 from .metrics import MetricsRegistry, counter_delta
 
@@ -31,8 +32,8 @@ from .metrics import MetricsRegistry, counter_delta
 #: Config fields that do not shape the annealing trajectory: the
 #: resilience knobs (budgets, checkpoint cadence, signal handling) and
 #: the instrumentation flags (profiling, tracing, heartbeats,
-#: sanitizing, and snapshotting are all proven bit-identical).  The
-#: checkpoint's resume digest drops them, and so does the ledger's
+#: sanitizing, and snapshotting are all proven bit-identical).
+#: :func:`trajectory_digest` drops them, and so does the ledger's
 #: family digest (which also drops the seed).
 NON_IDENTITY_FIELDS = (
     "checkpoint_path",
@@ -70,6 +71,13 @@ def config_digest(config: Any, exclude: tuple = ()) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
 
 
+def trajectory_digest(config: Any) -> str:
+    """:func:`config_digest` minus :data:`NON_IDENTITY_FIELDS`, seed kept:
+    the checkpoint's resume check and a ledger record's config identity.
+    """
+    return config_digest(config, exclude=NON_IDENTITY_FIELDS)
+
+
 def build_manifest(
     config: Any,
     netlist: Any = None,
@@ -105,10 +113,10 @@ class Tracer:
     """Mutable event accumulator for one run (see module docstring).
 
     With ``stream_path`` set, every emitted event is *also* appended to
-    that file as one compact JSON line, flushed immediately, using the
-    exact serialization :meth:`RunTrace.to_jsonl` uses — so the stream
-    a live watcher tail-follows (see :mod:`repro.obs.live`) is
-    byte-identical to the final atomic trace written at run end.
+    that file as one line, flushed immediately, through the encoder
+    :meth:`RunTrace.to_jsonl` uses (:func:`repro.resilience.jsonl.encode`)
+    — so the stream a live watcher tail-follows (see :mod:`repro.obs.live`)
+    is byte-identical to the final atomic trace written at run end.
     Streaming writes already-computed values on the cool stage-boundary
     path — no RNG, no clock — so a streamed run stays bit-identical.
     """
@@ -145,10 +153,7 @@ class Tracer:
         self.events.append(event)
         stream = self._stream
         if stream is not None:
-            stream.write(
-                json.dumps(event, sort_keys=True, separators=(",", ":"))
-                + "\n"
-            )
+            stream.write(jsonl.encode(event))
             stream.flush()
         return event
 

@@ -4,8 +4,12 @@ The anneal is the longest-running stage of the flow; this package makes
 it survivable (see ``docs/ROBUSTNESS.md``):
 
 * :mod:`repro.resilience.atomic` — the shared tmp + fsync + rename
-  writer behind every JSON artifact (layouts, traces, snapshots,
-  checkpoints), so a crash can never leave a truncated file behind;
+  writer behind every single-document artifact (layouts, snapshots,
+  checkpoints, finished traces), so a crash can never leave a
+  truncated file behind;
+* :mod:`repro.resilience.jsonl` — the line codec, locked append and
+  damage contract behind every append-only log (ledger, job journal,
+  traces);
 * :mod:`repro.resilience.checkpoint` — the schema-versioned,
   digest-protected checkpoint format plus the layout snapshot codec the
   annealer's best-so-far tracking and resume path share;
@@ -16,14 +20,16 @@ it survivable (see ``docs/ROBUSTNESS.md``):
   harness that proves the recovery paths actually recover.
 
 Submodules are imported lazily so that low layers (``repro.flows``,
-``repro.obs``) can pull :mod:`repro.resilience.atomic` without dragging
-:mod:`repro.core` in through the checkpoint codec.
+``repro.obs``, ``repro.service``) can pull ``atomic`` and ``jsonl``
+(exported as a module) without dragging :mod:`repro.core` in through
+the checkpoint codec.
 """
 
 from __future__ import annotations
 
 _EXPORTS = {
     "atomic_write_text": ".atomic",
+    "jsonl": ".jsonl",
     "CHECKPOINT_SCHEMA_VERSION": ".checkpoint",
     "CheckpointError": ".checkpoint",
     "LayoutSnapshot": ".checkpoint",
@@ -51,4 +57,4 @@ def __getattr__(name: str):
     import importlib
 
     module = importlib.import_module(module_name, __name__)
-    return getattr(module, name)
+    return module if module_name == f".{name}" else getattr(module, name)

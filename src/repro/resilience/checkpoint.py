@@ -45,7 +45,9 @@ from typing import Optional, Union
 from ..arch.channel import ChannelClaim
 from ..arch.vertical import VerticalClaim
 from ..netlist.netlist import Netlist
-from ..obs.tracer import NON_IDENTITY_FIELDS
+# A resume may change budgets, checkpoint cadence, or instrumentation,
+# nothing else: the stored config identity is the trajectory digest.
+from ..obs.tracer import trajectory_digest as resume_digest
 from ..place.placement import Placement
 from ..route.state import RoutingState
 
@@ -80,27 +82,6 @@ def payload_digest(payload: dict) -> str:
     """SHA-256 over the canonical JSON form of a checkpoint payload."""
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
-
-def resume_digest(config) -> str:
-    """Identity digest of the config fields that shape the trajectory.
-
-    Excludes :data:`NON_IDENTITY_FIELDS`, so a resumed run may change
-    budgets, checkpoint cadence, or instrumentation without being
-    rejected — anything else (seed, move mix, schedule, weights, ...)
-    must match the run that wrote the checkpoint.
-    """
-    import dataclasses
-
-    record = (
-        dataclasses.asdict(config)
-        if dataclasses.is_dataclass(config)
-        else dict(config)
-    )
-    for name in NON_IDENTITY_FIELDS:
-        record.pop(name, None)
-    canonical = json.dumps(record, sort_keys=True, default=repr)
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
 
 
 # ----------------------------------------------------------------------

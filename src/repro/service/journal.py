@@ -1,13 +1,12 @@
 """The supervisor's persistent job journal.
 
 The journal is the service's single source of truth: an append-only
-JSONL event log.  Each append is one ``O_APPEND`` write of one line,
-serialized against concurrent appenders (the supervisor vs. a ``jobs
-cancel`` from another process) by an exclusive lock on a ``.lock``
-sidecar — concurrent events interleave, none is lost, and ``seq``
-stays strictly increasing.  A crash mid-append can tear at most the
-*final* line, which :func:`read_journal` tolerates by design.  State
-is never stored; it is *replayed*: folding the event stream
+JSONL event log under the contract every log shares
+(:mod:`repro.resilience.jsonl`): concurrent appenders (the supervisor
+vs. a ``jobs cancel`` from another process) lose nothing and ``seq``
+stays strictly increasing; a torn *final* line is dropped and
+reported, and damage anywhere else raises :class:`JournalError`.
+State is never stored; it is *replayed*: folding the event stream
 reconstructs every job's current state, which is what lets a
 freshly-started supervisor pick up where a dead one left off
 (:meth:`repro.service.supervisor.Supervisor.recover`).
@@ -42,19 +41,16 @@ monotonically increasing ``seq``):
 
 The job lifecycle is therefore ``submitted → running → checkpointed →
 … → done|failed|cancelled``, with ``running → checkpointed`` loops for
-every retry.  :func:`read_journal` tolerates a torn *final* line (the
-signature of an append cut short by a crash) and raises a typed
-:class:`JournalError` for corruption anywhere else, mirroring the
-ledger's damage policy.
+every retry.
 """
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Union
+
+from ..resilience import jsonl
 
 #: Version of the journal event vocabulary.  Adding optional fields is
 #: compatible; removing or re-interpreting one requires a bump.
@@ -165,47 +161,14 @@ class Job:
 def append_event(path: Union[str, Path], event: dict) -> dict:
     """Append one event to the journal; returns the stamped event.
 
-    Stamps ``v`` (schema version) and ``seq`` (1-based position), then
-    writes exactly one line through an ``O_APPEND`` handle while
-    holding an exclusive :mod:`fcntl` lock on ``<journal>.lock``.  The
-    lock serializes the read-count-append cycle against concurrent
-    appenders — the supervisor and a ``jobs cancel`` issued from
-    another process both go through here, and neither can erase the
-    other's event or mint a duplicate ``seq``.  A crash mid-write can
-    tear at most the final line, which :func:`read_journal` already
-    tolerates; the bytes are fsynced before the lock is released, so
-    an event that was reported appended survives power loss.
+    Stamps ``v`` and ``seq`` (1-based position, counted under the
+    append's lock, so concurrent appenders never mint a duplicate).  A
+    torn fragment left by a crash is sealed first, so this event starts
+    a fresh line and the fragment reads as the interior damage it is.
     """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    lock_path = path.with_name(path.name + ".lock")
-    with open(lock_path, "a", encoding="utf-8") as lock:
-        try:
-            import fcntl
-
-            fcntl.flock(lock.fileno(), fcntl.LOCK_EX)
-        except (ImportError, OSError):
-            pass  # no locking on this platform/filesystem; best effort
-        existing = ""
-        try:
-            existing = path.read_text(encoding="utf-8")
-        except FileNotFoundError:
-            pass
-        count = sum(1 for line in existing.splitlines() if line.strip())
-        stamped = dict(event)
-        stamped["v"] = JOURNAL_SCHEMA_VERSION
-        stamped["seq"] = count + 1
-        line = json.dumps(stamped, sort_keys=True, separators=(",", ":"))
-        # Seal a foreign torn line first so this event starts a fresh
-        # line rather than gluing onto the fragment (which would also
-        # corrupt this event); the fragment itself then reads as the
-        # interior damage it is.
-        prefix = "\n" if existing and not existing.endswith("\n") else ""
-        with open(path, "a", encoding="utf-8") as handle:
-            handle.write(prefix + line + "\n")
-            handle.flush()
-            os.fsync(handle.fileno())
-    return stamped
+    return jsonl.append(path, event, stamp=lambda event, count: {
+        **event, "v": JOURNAL_SCHEMA_VERSION, "seq": count + 1,
+    })
 
 
 def read_journal(
@@ -213,50 +176,20 @@ def read_journal(
 ) -> tuple[list[dict], list[str]]:
     """Load the raw event stream; returns ``(events, problems)``.
 
-    A missing file is an empty journal (submit creates it).  A
-    malformed *final* line is tolerated and reported — that is what a
-    torn non-atomic append looks like; malformed interior lines or
-    unsupported versions raise :class:`JournalError` (damage, not a
-    torn append).
+    A missing file is an empty journal (submit creates it); an event of
+    an unsupported version raises :class:`JournalError`, like damage.
     """
-    path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        events, problems = jsonl.read(path, JournalError, "journal event")
     except FileNotFoundError:
         return [], []
-    except OSError as exc:
-        raise JournalError(f"{path}: unreadable journal: {exc}") from exc
-    events: list[dict] = []
-    problems: list[str] = []
-    lines = [
-        (number, line.strip())
-        for number, line in enumerate(text.splitlines(), start=1)
-        if line.strip()
-    ]
-    for position, (number, line) in enumerate(lines):
-        last = position == len(lines) - 1
-        try:
-            event = json.loads(line)
-        except json.JSONDecodeError as exc:
-            if last:
-                problems.append(
-                    f"line {number}: torn final event dropped ({exc.msg})"
-                )
-                continue
-            raise JournalError(
-                f"{path}:{number}: corrupted journal event: {exc.msg}"
-            ) from exc
-        if not isinstance(event, dict):
-            raise JournalError(
-                f"{path}:{number}: journal event is not a JSON object"
-            )
+    for number, event in enumerate(events, start=1):
         version = event.get("v")
         if version != JOURNAL_SCHEMA_VERSION:
             raise JournalError(
-                f"{path}:{number}: unsupported journal version "
+                f"{path}: event {number}: unsupported journal version "
                 f"{version!r} (supported: {JOURNAL_SCHEMA_VERSION})"
             )
-        events.append(event)
     return events, problems
 
 

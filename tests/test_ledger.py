@@ -4,9 +4,9 @@ Five layers:
 
 1. unit tests of record construction and the identity digest (volatile
    wall-clock telemetry stays outside identity);
-2. persistence: atomic appends, tolerant reads of torn final lines,
-   hard failures on mid-file corruption (damage injected with the
-   resilience fault harness);
+2. persistence: round trip, missing and empty ledgers (the damage
+   contract the ledger shares with every log is the fault matrix in
+   ``tests/test_jsonl.py``);
 3. selection/aggregation/regression gates over record slices;
 4. integration with the flows: ``record_from_result`` on real runs,
    and the determinism contract — identical runs collide on identity,
@@ -18,6 +18,7 @@ Five layers:
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -111,7 +112,7 @@ class TestRecordIdentity:
 
 
 # ----------------------------------------------------------------------
-# Persistence: atomic appends and tolerant reads
+# Persistence (damage cases: tests/test_jsonl.py)
 # ----------------------------------------------------------------------
 class TestPersistence:
     def test_append_and_read_round_trip(self, tmp_path):
@@ -133,40 +134,6 @@ class TestPersistence:
         ledger = read_ledger(path)
         assert ledger.records == []
         assert ledger.problems == []
-
-    def test_torn_final_line_is_tolerated(self, tmp_path):
-        path = tmp_path / "ledger.jsonl"
-        append_record(path, basic_record())
-        append_record(path, basic_record(seed=4))
-        truncate_file(path, keep_fraction=0.9)  # tears the last record
-        ledger = read_ledger(path)
-        assert len(ledger.records) == 1
-        assert ledger.records[0]["seed"] == 3
-        assert any("torn final" in problem for problem in ledger.problems)
-
-    def test_interior_corruption_raises(self, tmp_path):
-        path = tmp_path / "ledger.jsonl"
-        append_record(path, basic_record())
-        append_record(path, basic_record(seed=4))
-        # Flip a structural byte inside the FIRST record's line.
-        text = path.read_text(encoding="utf-8")
-        offset = text.index('"flow"')
-        corrupt_file(path, offset=offset, flip=0x7B)
-        with pytest.raises(LedgerError, match="corrupted ledger record"):
-            read_ledger(path)
-
-    def test_non_object_record_raises(self, tmp_path):
-        path = tmp_path / "ledger.jsonl"
-        path.write_text('[1, 2]\n{"flow": "x"}\n', encoding="utf-8")
-        with pytest.raises(LedgerError, match="not a JSON object"):
-            read_ledger(path)
-
-    def test_append_tolerates_missing_trailing_newline(self, tmp_path):
-        path = tmp_path / "ledger.jsonl"
-        path.write_text('{"flow": "old"}', encoding="utf-8")  # no newline
-        append_record(path, basic_record())
-        ledger = read_ledger(path)
-        assert len(ledger.records) == 2
 
     def test_resolve_artifact_relative_to_ledger(self, tmp_path):
         ledger = tmp_path / "runs" / "ledger.jsonl"
@@ -318,6 +285,28 @@ class TestFlowIntegration:
         second = record_from_result(again, tag="two")
         # Wall clock and tags differ; trajectories (and digests) must not.
         assert first["record_digest"] == second["record_digest"]
+
+    def test_identity_ignores_where_artifacts_land(self, tmp_path):
+        # Runs that differ only in a non-identity knob (here the
+        # checkpoint path) share one trajectory, so they must share one
+        # record identity; a different seed is a different trajectory.
+        netlist = tiny(seed=9, num_cells=24, depth=3)
+        arch = architecture_for(netlist, tracks_per_channel=10)
+
+        def record(seed: int, **overrides) -> dict:
+            config = dataclasses.replace(short_config(seed), **overrides)
+            return record_from_result(run_simultaneous(netlist, arch, config))
+
+        plain = record(11)
+        moved = [record(11, checkpoint_path=str(tmp_path / name))
+                 for name in ("a.ckpt", "b.ckpt")]
+        assert [r["config_digest"] for r in moved] == \
+            [plain["config_digest"]] * 2
+        assert [r["record_digest"] for r in moved] == \
+            [plain["record_digest"]] * 2
+        reseeded = record(12)
+        assert reseeded["config_digest"] != plain["config_digest"]
+        assert reseeded["record_digest"] != plain["record_digest"]
 
     def test_recording_never_perturbs_the_anneal(self, flow_result, tmp_path):
         netlist = tiny(seed=9, num_cells=24, depth=3)
