@@ -2,7 +2,9 @@
 
 Runs the same short simultaneous anneal twice on a small generated
 benchmark — once plain, once with ``AnnealerConfig(sanitize=True)`` —
-and asserts:
+at two channel widths: 10 tracks, and 6, where routing fails often and
+nets stay unrouted, so the sanitizer's cache probes inspect failures
+the negative caches have re-tested.  At each width it asserts:
 
 1. the sanitized run completes with zero :class:`SanitizerError`
    (every move's rollback digest, cache probe, and invariant audit
@@ -23,6 +25,11 @@ from repro import architecture_for
 from repro.core import AnnealerConfig, ScheduleConfig, SimultaneousAnnealer
 from repro.lint.runtime import SanitizerError
 from repro.netlist import tiny
+
+
+#: Channel widths the pair runs at: routable, and below the design's
+#: minimum.
+WIDTHS = (10, 6)
 
 
 def smoke_config(seed: int, sanitize: bool) -> AnnealerConfig:
@@ -49,36 +56,46 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     netlist = tiny(seed=4, num_cells=args.cells, depth=4)
-    arch = architecture_for(netlist, tracks_per_channel=10)
+    for tracks in WIDTHS:
+        if not check_width(netlist, tracks, args.seed):
+            return 1
+    return 0
+
+
+def check_width(netlist, tracks: int, seed: int) -> bool:
+    """Run the plain/sanitized pair at one channel width; True if clean."""
+    arch = architecture_for(netlist, tracks_per_channel=tracks)
 
     plain = SimultaneousAnnealer(
-        netlist, arch, smoke_config(args.seed, sanitize=False)
+        netlist, arch, smoke_config(seed, sanitize=False)
     ).run()
 
     try:
         sanitized = SimultaneousAnnealer(
-            netlist, arch, smoke_config(args.seed, sanitize=True)
+            netlist, arch, smoke_config(seed, sanitize=True)
         ).run()
     except SanitizerError as exc:
-        print(f"FAIL: sanitizer violation during anneal:\n{exc}")
-        return 1
+        print(f"FAIL: sanitizer violation during anneal at {tracks} tracks:"
+              f"\n{exc}")
+        return False
 
     left, right = comparable_metrics(plain), comparable_metrics(sanitized)
     mismatches = {
         key: (left[key], right[key]) for key in left if left[key] != right[key]
     }
     for key, (a, b) in sorted(mismatches.items()):
-        print(f"FAIL: metric {key!r} diverged: plain={a!r} sanitized={b!r}")
+        print(f"FAIL: metric {key!r} diverged at {tracks} tracks: "
+              f"plain={a!r} sanitized={b!r}")
     if mismatches:
-        return 1
+        return False
 
     print(
-        f"OK: sanitized anneal clean and bit-identical "
+        f"OK: sanitized anneal clean and bit-identical at {tracks} tracks "
         f"({plain.moves_attempted} moves, "
         f"T={plain.worst_delay:.4f} ns, "
         f"fully_routed={plain.fully_routed})"
     )
-    return 0
+    return True
 
 
 if __name__ == "__main__":

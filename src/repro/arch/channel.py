@@ -66,7 +66,7 @@ class SegmentationTables:
 
     __slots__ = (
         "width", "tracks", "starts", "seg_at", "field", "carry", "guards",
-        "_weighted", "_tight",
+        "_weighted", "_tight", "_runs",
     )
 
     def __init__(self, segmentation: Segmentation) -> None:
@@ -93,6 +93,8 @@ class SegmentationTables:
             float, dict[tuple[int, int], tuple[int, list[tuple]]]
         ] = {}
         self._tight: dict[tuple[int, int], tuple[int, list[tuple]]] = {}
+        # (lo, hi) -> packed run, for every interval either table holds.
+        self._runs: dict[tuple[int, int], int] = {}
 
     def pack(self, occ: list[int]) -> int:
         """Per-track occupancy bitmasks packed into one word.
@@ -122,7 +124,16 @@ class SegmentationTables:
             entries.append(
                 (mask, track, first, last, used, used - span, last - first + 1)
             )
-        return self.pack([entry[0] for entry in entries]), entries
+        run = self._runs[(lo, hi)] = self.pack([entry[0] for entry in entries])
+        return run, entries
+
+    def run(self, lo: int, hi: int) -> int:
+        """The packed run for ``[lo, hi]``: one dict lookup once a scan
+        table holds the interval."""
+        run = self._runs.get((lo, hi))
+        if run is None:
+            run = self._entries(lo, hi)[0]
+        return run
 
     def weighted_entries(
         self, lo: int, hi: int, weight: float
@@ -347,6 +358,18 @@ class Channel:
         """
         self._check_interval(lo, hi)
         return self._first_free(hi - lo + 1, self._tables.tight_entries(lo, hi))
+
+    def all_blocked(self, lo: int, hi: int) -> bool:
+        """Whether every track's covering run for ``[lo, hi]`` is owned.
+
+        The packed-word test :meth:`_first_free` opens with, so it is
+        True exactly when :meth:`best_weighted` and :meth:`best_tight`
+        return None.  ``[lo, hi]`` must lie inside the channel.
+        """
+        guards = self._guards
+        return (
+            (self._word & self._tables.run(lo, hi)) + self._carry
+        ) & guards == guards
 
     def _first_free(
         self, span: int, table: tuple[int, list[tuple]]

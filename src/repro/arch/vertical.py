@@ -90,13 +90,10 @@ class ColumnMasks:
         self._tables = tables_for(segmentation)
         self._all = (1 << num_columns) - 1
 
-    def nearest_free(self, cmin: int, cmax: int, center: int) -> Optional[int]:
-        """The column nearest ``center`` with a free run over ``[cmin, cmax]``.
+    def free_columns(self, cmin: int, cmax: int) -> int:
+        """Bit ``x`` set for each column with a free run over ``[cmin, cmax]``.
 
-        Ties go left, so this is the first column
-        :func:`repro.route.global_router.column_scan_order` yields whose
-        ``best_candidate`` is not None; None when no column has one.
-        ``center`` must be a column index.
+        Zero exactly when every column's ``best_candidate`` is None.
         """
         # A column is blocked when every track's covering run has an
         # owned segment there.
@@ -111,7 +108,17 @@ class ColumnMasks:
             blocked &= taken
             if not blocked:
                 break
-        free = self._all ^ blocked
+        return self._all ^ blocked
+
+    def nearest_free(self, cmin: int, cmax: int, center: int) -> Optional[int]:
+        """The column nearest ``center`` with a free run over ``[cmin, cmax]``.
+
+        Ties go left, so this is the first column
+        :func:`repro.route.global_router.column_scan_order` yields whose
+        ``best_candidate`` is not None; None when no column has one.
+        ``center`` must be a column index.
+        """
+        free = self.free_columns(cmin, cmax)
         if not free:
             return None
         # Highest free column <= center, lowest free column >= center.

@@ -16,7 +16,7 @@ sequential baseline uses after placement and global routing are frozen.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Iterable, Optional
 
 from ..arch.channel import TrackCandidate
 from .global_router import ripup_order
@@ -133,7 +133,7 @@ def route_net_in_channel(
 def route_channel(
     state: RoutingState,
     channel: int,
-    net_indices: Optional[Sequence[int]] = None,
+    net_indices: Optional[Iterable[int]] = None,
     segment_weight: float = DEFAULT_SEGMENT_WEIGHT,
 ) -> list[int]:
     """Drain a channel's pending queue, longest nets first.
@@ -143,7 +143,7 @@ def route_channel(
     Mutates: the routing state, via :func:`route_net_in_channel`.
     """
     if net_indices is None:
-        net_indices = sorted(state.unrouted_detail[channel])
+        net_indices = state.unrouted_detail[channel]
     failed: list[int] = []
     for net_index in ripup_order(state, net_indices):
         if not route_net_in_channel(state, net_index, channel, segment_weight):

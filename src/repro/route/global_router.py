@@ -21,7 +21,7 @@ baseline flow; the simultaneous annealer instead calls
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional
 
 from .state import RoutingState
 
@@ -81,36 +81,22 @@ def route_net_global(state: RoutingState, net_index: int) -> bool:
     return True
 
 
-def ripup_order(state: RoutingState, net_indices: Sequence[int]) -> list[int]:
+def ripup_order(state: RoutingState, net_indices: Iterable[int]) -> list[int]:
     """Nets sorted longest-estimated-first (the U_G / U_DR queue order).
 
-    Hot path: called once per pending queue per repair.  Queues of zero
-    or one net (the common case late in an anneal) skip the sort, and
-    longer queues decorate-and-sort without per-key lambda dispatch.
-    Equal-length nets order by index, so the queue is a pure function
-    of the pending *contents* — never of set iteration order, which
-    varies with each set's mutation history and would make otherwise
-    identical layouts repair differently.
+    Hot path: called once per pending queue per repair.  The sort key
+    is ``RoutingState.queue_key``, stored when the net's geometry is
+    written, so no key is rebuilt here.  Equal-length nets order by
+    index (the inner sort; the outer one is stable), so the queue is a
+    pure function of the pending *contents* — never of set iteration
+    order, which varies with each set's mutation history and would
+    make otherwise identical layouts repair differently.
     """
-    if len(net_indices) <= 1:
-        return list(net_indices)
-    routes = state.routes
-    decorated = []
-    for net_index in net_indices:
-        route = routes[net_index]
-        # Negated length so the plain ascending sort puts longest first.
-        decorated.append(
-            (
-                (route.xmin - route.xmax) + 0.5 * (route.cmin - route.cmax),
-                net_index,
-            )
-        )
-    decorated.sort()
-    return [entry[1] for entry in decorated]
+    return sorted(sorted(net_indices), key=state.queue_key.__getitem__)
 
 
 def global_route_all(
-    state: RoutingState, net_indices: Optional[Sequence[int]] = None
+    state: RoutingState, net_indices: Optional[Iterable[int]] = None
 ) -> list[int]:
     """Globally route the given nets (default: all pending).
 
@@ -120,7 +106,7 @@ def global_route_all(
     Mutates: the routing state, via :func:`route_net_global`.
     """
     if net_indices is None:
-        net_indices = sorted(state.unrouted_global)
+        net_indices = state.unrouted_global
     failed: list[int] = []
     for net_index in ripup_order(state, net_indices):
         if not route_net_global(state, net_index):

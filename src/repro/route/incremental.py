@@ -101,14 +101,15 @@ class NetJournal:
         between nets safe to undo.
 
         A journaled net whose route version is unchanged since snapshot
-        — typically a neighbour that repair considered but never
-        re-routed — is provably already in its snapshot state, so the
+        is provably already in its snapshot state, so the
         rip-up/re-commit round trip collapses to
         :meth:`RoutingState.log_phantom_releases`, which reproduces the
         round trip's only lasting side effects (release-log entries and
-        fail-cache clears) without touching occupancy.  Changed nets
-        restore geometry by assignment from the snapshot instead of
-        recomputing pin positions.
+        fail-cache clears) without touching occupancy.  That path is
+        rare: ripped nets always change, and repair attempts only nets
+        that can route, except a first attempt that fails.  Changed
+        nets restore geometry by assignment from the snapshot instead
+        of recomputing pin positions.
         """
         state = self._state
         versions = state.route_version
@@ -187,22 +188,26 @@ class IncrementalRouter:
 
         Order follows the paper: first the global queue (longest nets
         first), then each channel's detailed queue (longest first).
-        Nets that gain claims are journaled before routing so a
-        rejected move can undo them even if they were not connected to
-        the perturbed cell (e.g. a previously-unroutable net that
-        succeeds in the more compliant intermediate placement).
+        Every net attempted is journaled before its attempt, so a
+        rejected move can undo whatever it gains even if it was not
+        connected to the perturbed cell (e.g. a previously-unroutable
+        net that succeeds in the more compliant intermediate
+        placement).
 
-        Only channels with pending nets are visited, and a net whose
-        last attempt failed is skipped outright until some capacity it
-        could use has been released (see the negative caches on
-        :class:`RoutingState`).  Both shortcuts are exact — a skipped
-        attempt has no side effects and would fail again — so the
-        claims committed are identical to an exhaustive scan.
+        Only channels with pending nets are visited, and a net is
+        attempted only when it can route or has no cached failure: the
+        negative caches on :class:`RoutingState` skip a net without a
+        global route in every channel, and a net whose last attempt
+        failed until an exact occupancy test shows capacity it can use.
+        So only a first attempt can fail.  A skipped attempt would have
+        failed, and a failed attempt commits nothing, so the claims
+        committed are identical, in the same order, to an exhaustive
+        scan's.
 
         Mutates: the routing state (commits claims) and ``journal``
-        (snapshots every net that gains one).  Pending sets are drained
-        through ``sorted`` + :func:`ripup_order`, so the attempt order
-        is a pure function of queue contents.
+        (snapshots every net attempted).  Pending sets are drained in
+        :func:`ripup_order`, so the attempt order is a pure function of
+        queue contents.
         """
         state = self.state
         touched: set[int] = set()
@@ -218,7 +223,7 @@ class IncrementalRouter:
         hopeless_detail = state.detail_attempt_is_hopeless
         segment_weight = self.segment_weight
 
-        pending_global = ripup_order(state, sorted(state.unrouted_global))
+        pending_global = ripup_order(state, state.unrouted_global)
         for net_index in pending_global:
             if hopeless_global(net_index):
                 if mx is not None:
@@ -235,7 +240,7 @@ class IncrementalRouter:
 
         unrouted_detail = state.unrouted_detail
         for channel in sorted(state.dirty_channels):
-            pending = ripup_order(state, sorted(unrouted_detail[channel]))
+            pending = ripup_order(state, unrouted_detail[channel])
             for net_index in pending:
                 if hopeless_detail(net_index, channel):
                     if mx is not None:

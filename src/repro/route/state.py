@@ -157,7 +157,8 @@ class RoutingState:
         # Each channel keeps an append-only log of released column
         # spans (the vertical plane keeps one of channel spans); a
         # recorded failure carries its log position and needed interval
-        # and is retried only once a later release overlaps it.
+        # and is re-tested against occupancy only once a later release
+        # overlaps it.
         self._channel_releases: list[list[Interval]] = [
             [] for _ in range(self.fabric.num_channels)
         ]
@@ -177,6 +178,12 @@ class RoutingState:
         #: is ≥ 1 after construction (the initial geometry pass bumps
         #: every net), so 0 doubles as a "never valid" sentinel.
         self.route_version = array("Q", bytes(8 * len(self.routes)))
+        #: Per-net repair-queue key, ``2 * (xmin - xmax) + (cmin -
+        #: cmax)``: twice the negated length estimate ``(xmax - xmin) +
+        #: 0.5 * (cmax - cmin)``, so it stays an integer and sorts like
+        #: it.  :func:`ripup_order` sorts on it; it is written with the
+        #: geometry it derives from.
+        self.queue_key: list[int] = [0] * len(self.routes)
         for net in self.netlist.nets:
             self.refresh_geometry(net.index)
 
@@ -187,28 +194,23 @@ class RoutingState:
         """Recompute pin channels/columns from the current placement.
 
         Must only be called while the net holds no claims (it redefines
-        what the claims would have to cover).  Marks the net unrouted.
+        what the claims would have to cover).  Marks the net unrouted,
+        through :meth:`adopt_geometry`.
         """
-        route = self.routes[net_index]
-        if route.vertical is not None or route.claims:
-            raise RuntimeError(
-                f"net {net_index} still holds claims; rip it up before "
-                "refreshing geometry"
-            )
         positions = self.placement.net_pin_positions(net_index)
         pin_channels: dict[int, list[int]] = {}
         for channel, column in positions:
             pin_channels.setdefault(channel, []).append(column)
         for columns in pin_channels.values():
             columns.sort()
-        route.pin_channels = pin_channels
-        route.cmin = min(pin_channels)
-        route.cmax = max(pin_channels)
-        route.xmin = min(columns[0] for columns in pin_channels.values())
-        route.xmax = max(columns[-1] for columns in pin_channels.values())
-        self.route_version[net_index] += 1
-        self._mark_unrouted(route)
-        return route
+        return self.adopt_geometry(
+            net_index,
+            pin_channels,
+            min(pin_channels),
+            max(pin_channels),
+            min(columns[0] for columns in pin_channels.values()),
+            max(columns[-1] for columns in pin_channels.values()),
+        )
 
     def adopt_geometry(
         self,
@@ -229,19 +231,21 @@ class RoutingState:
         as :meth:`refresh_geometry`: the net must hold no claims, and
         it is re-marked unrouted.
 
-        Mutates: the net's route record, unrouted books, fail caches.
+        Mutates: the net's route record and queue key, unrouted books,
+        fail caches.
         """
         route = self.routes[net_index]
         if route.vertical is not None or route.claims:
             raise RuntimeError(
                 f"net {net_index} still holds claims; rip it up before "
-                "adopting geometry"
+                "changing its geometry"
             )
         route.pin_channels = pin_channels
         route.cmin = cmin
         route.cmax = cmax
         route.xmin = xmin
         route.xmax = xmax
+        self.queue_key[net_index] = 2 * (xmin - xmax) + (cmin - cmax)
         self.route_version[net_index] += 1
         self._mark_unrouted(route)
         return route
@@ -356,14 +360,16 @@ class RoutingState:
 
         The journal fast-restore path skips rip-up + re-commit for a
         net whose route record is provably untouched since snapshot
-        (route version unchanged), but the release logs — which the
-        negative caches replay, and whose compaction events clear
-        cached failures channel-wide — must evolve exactly as if the
-        rip-up/re-claim round trip had happened.  This appends the
-        identical log entries in the identical order (vertical first,
-        then channels in sorted order) and applies the same per-net
-        fail-cache clears :meth:`_mark_unrouted` would, without
-        touching occupancy, geometry, or the pending books.
+        (route version unchanged).  This appends the log entries the
+        round trip would have appended, in the identical order
+        (vertical first, then channels in sorted order), and applies
+        the same per-net fail-cache clears :meth:`_mark_unrouted`
+        would, without touching occupancy, geometry, or the pending
+        books.  Since the negative caches re-test occupancy exactly, no
+        claim depends on these entries: they only keep the caches'
+        queries, and so the repair trace counters, what the round trip
+        would give.  The flow benchmark counts these calls as
+        ``route.phantom``.
 
         Mutates: release logs (and, via compaction, every net's fail
         caches), this net's fail caches.
@@ -416,9 +422,13 @@ class RoutingState:
     # track's covering run contains at least one column of [lo, hi], so
     # a release with no column overlap cannot unblock any track.  The
     # same argument holds for global routing with channel spans in
-    # place of column intervals.  Cached failures are cleared in
-    # :meth:`_mark_unrouted` (the single place a net's geometry or
-    # trunk — and hence its needed intervals — can change).
+    # place of column intervals.  An overlapping release only *may*
+    # have unblocked the interval, so the cache then re-tests
+    # occupancy exactly instead of letting a retry find out: a cached
+    # failure reads hopeless exactly when the attempt would fail.
+    # Cached failures are cleared in :meth:`_mark_unrouted` (the single
+    # place a net's geometry or trunk — and hence its needed intervals
+    # — can change).
 
     #: Release-log length at which a channel's log is compacted (all
     #: cached failures referencing it are dropped, forcing one retry).
@@ -440,16 +450,29 @@ class RoutingState:
             log.clear()
 
     def detail_attempt_is_hopeless(self, net_index: int, channel: int) -> bool:
-        """Whether a detail attempt is known to fail (amortized O(1))."""
+        """Whether a detail attempt for the net in ``channel`` must fail.
+
+        A net without a global route reads hopeless in every channel
+        (it "automatically cannot be detail routed", Section 3.4).  A
+        cached failure reads hopeless until a logged release overlaps
+        its interval; at the first such release one packed-word test
+        (:meth:`~repro.arch.channel.Channel.all_blocked`) decides.  If
+        every track is still blocked the entry advances to the log's
+        end, exactly what a failed retry would record; otherwise it is
+        dropped and the attempt that follows commits a claim.  Any
+        other net reads False.  Amortized O(1) per query.
+        """
         entry = self._detail_fail[net_index].get(channel)
         if entry is None:
-            return False
+            return net_index in self.unrouted_global
         position, lo, hi = entry
         releases = self._channel_releases[channel]
         end = len(releases)
         for i in range(position, end):
             released = releases[i]
             if released[0] <= hi and lo <= released[1]:
+                if self.fabric.channels[channel].all_blocked(lo, hi):
+                    break
                 del self._detail_fail[net_index][channel]
                 return False
         if end != position:
@@ -469,7 +492,15 @@ class RoutingState:
         )
 
     def global_attempt_is_hopeless(self, net_index: int) -> bool:
-        """Whether a global attempt is known to fail (amortized O(1))."""
+        """Whether a global attempt for the net must fail.
+
+        The vertical-plane twin of :meth:`detail_attempt_is_hopeless`:
+        at the first logged vertical release overlapping the cached
+        ``[cmin, cmax]`` span, one
+        :meth:`~repro.arch.vertical.ColumnMasks.free_columns` query
+        decides whether any column can carry the span.  A net with no
+        cached failure reads False.  Amortized O(1) per query.
+        """
         entry = self._global_fail[net_index]
         if entry is None:
             return False
@@ -479,6 +510,8 @@ class RoutingState:
         for i in range(position, end):
             released = releases[i]
             if released[0] <= cmax and cmin <= released[1]:
+                if not self.fabric.column_masks.free_columns(cmin, cmax):
+                    break
                 self._global_fail[net_index] = None
                 return False
         if end != position:
@@ -501,9 +534,10 @@ class RoutingState:
         hopeless, re-probe feasibility from scratch; a feasible
         candidate means the cache would have wrongly skipped a routable
         net.  The probe itself is side-effect-free (``candidates`` only
-        reads occupancy); querying :meth:`detail_attempt_is_hopeless`
-        may prune stale entries, which is semantics-preserving
-        amortization, never a behavioral change.
+        reads occupancy).  Querying :meth:`detail_attempt_is_hopeless`
+        may advance or drop an entry after re-testing occupancy; that
+        changes which later attempts repair makes, never the claims
+        they commit.
         """
         problems: list[str] = []
         for net_index in range(len(self.routes)):
@@ -650,6 +684,12 @@ class RoutingState:
                     f"{self._missing[net_index]}, actual {len(actual_channels)}"
                 )
         for route in self.routes:
+            key = 2 * (route.xmin - route.xmax) + (route.cmin - route.cmax)
+            if self.queue_key[route.net_index] != key:
+                problems.append(
+                    f"net {route.net_index} queue-key drift: stored "
+                    f"{self.queue_key[route.net_index]}, geometry gives {key}"
+                )
             for channel, claim in route.claims.items():
                 ch = self.fabric.channels[channel]
                 for seg in range(claim.first_seg, claim.last_seg + 1):

@@ -12,7 +12,9 @@ Produces, next to this file:
 
 Volatile telemetry (wall-clock fields) is frozen to fixed values so
 regeneration on any host reproduces the same bytes; everything else is
-deterministic by the seeds.  Run from the repo root::
+deterministic by the seeds, and ``tests/test_ledger.py`` regenerates
+into a scratch directory to pin the committed files byte for byte.
+Run from the repo root::
 
     PYTHONPATH=src python tests/data/make_ledger_fixture.py
 """
@@ -54,17 +56,18 @@ def fixture_design():
     return netlist, architecture_for(netlist, tracks_per_channel=10)
 
 
-def main() -> None:
+def main(outdir: Path = HERE) -> None:
+    """Write the four fixture files into ``outdir``."""
     netlist, arch = fixture_design()
 
-    ledger_path = HERE / "ledger_fixture.jsonl"
+    ledger_path = outdir / "ledger_fixture.jsonl"
     ledger_path.unlink(missing_ok=True)
 
     results = []
     for seed in (3, 5):
         result = run_simultaneous(netlist, arch, sim_config(seed))
         trace_name = f"ledger_trace_seed{seed}.jsonl"
-        result.extra["trace"].write_jsonl(HERE / trace_name)
+        result.extra["trace"].write_jsonl(outdir / trace_name)
         results.append((result, {"trace": trace_name}))
     seq = run_sequential(netlist, arch, SequentialConfig(
         seed=3, attempts_per_cell=4, initial="clustered",
@@ -86,7 +89,7 @@ def main() -> None:
     ledger = read_ledger(ledger_path)
     traces = _load_run_traces(ledger)
     html = render_report(ledger.records, traces, title="Ledger fixture")
-    (HERE / "ledger_report_golden.html").write_text(html, encoding="utf-8")
+    (outdir / "ledger_report_golden.html").write_text(html, encoding="utf-8")
     print(f"wrote {ledger_path} ({len(ledger.records)} records), "
           f"{len(traces)} traces, golden report")
 

@@ -107,13 +107,21 @@ class TestGlobalRouteAll:
         assert state.count_global_unrouted() == 0
 
     def test_ripup_order_longest_first(self, state):
-        order = ripup_order(state, [r.net_index for r in state.routes])
+        nets = [r.net_index for r in state.routes]
+        order = ripup_order(state, nets)
         lengths = [
             (state.routes[i].xmax - state.routes[i].xmin)
             + 0.5 * (state.routes[i].cmax - state.routes[i].cmin)
             for i in order
         ]
         assert lengths == sorted(lengths, reverse=True)
+        # Equal lengths order by net index whatever the input order.
+        assert len(set(lengths)) < len(lengths)
+        for unsorted in (nets[::-1], set(nets)):
+            assert ripup_order(state, unsorted) == order
+        for i in range(len(order) - 1):
+            if lengths[i] == lengths[i + 1]:
+                assert order[i] < order[i + 1]
 
     def test_subset_only(self, state):
         multis = [r.net_index for r in state.routes if r.needs_vertical]

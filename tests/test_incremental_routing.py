@@ -9,7 +9,15 @@ import random
 import pytest
 
 from repro.place import clustered_placement, random_placement
-from repro.route import IncrementalRouter, NetJournal, RoutingState
+from repro.route import (
+    IncrementalRouter,
+    NetJournal,
+    RoutingState,
+    global_route_all,
+    route_channel,
+)
+
+from conftest import architecture_for
 
 
 def snapshot_occupancy(state):
@@ -176,3 +184,90 @@ class TestRandomizedTransactions:
                 journal.restore_all()
                 assert snapshot_occupancy(state) == before
             assert state.check_consistency() == [], f"iteration {iteration}"
+
+
+def exhaustive_drain(state, journal=None):
+    """Repair without the negative caches: attempt every pending net.
+
+    The attempt order is :meth:`IncrementalRouter.repair`'s: the global
+    queue, then each dirty channel's queue in channel order.  Every
+    pending net is journaled first, since any of them may gain a claim.
+    """
+    if journal is not None:
+        pending = set(state.unrouted_global)
+        for channel in state.dirty_channels:
+            pending |= state.unrouted_detail[channel]
+        for net_index in sorted(pending):
+            journal.snapshot(net_index)
+    global_route_all(state)
+    for channel in sorted(state.dirty_channels):
+        route_channel(state, channel)
+
+
+def assert_same_routing(cached, exhaustive):
+    for a, b in zip(cached.routes, exhaustive.routes):
+        assert a.vertical == b.vertical, f"net {a.net_index} vertical"
+        assert a.claims == b.claims, f"net {a.net_index} claims"
+    planes = zip(
+        cached.fabric.channels
+        + [vc._channel for vc in cached.fabric.vcolumns],
+        exhaustive.fabric.channels
+        + [vc._channel for vc in exhaustive.fabric.vcolumns],
+    )
+    for a, b in planes:
+        assert a._word == b._word
+    assert cached.check_consistency() == []
+    assert exhaustive.check_consistency() == []
+
+
+class TestCachedRepairMatchesExhaustiveDrain:
+    """The negative caches skip only attempts that would fail, so cached
+    repair commits exactly the claims an exhaustive drain commits."""
+
+    @pytest.mark.parametrize("vtracks,seed", [(6, 0), (6, 1), (1, 2)])
+    def test_same_claims_after_every_step(self, tiny_netlist, vtracks, seed):
+        # 6 tracks leave most nets unroutable in detail; one vertical
+        # track makes global routing fail too.
+        arch = architecture_for(tiny_netlist, tracks=6, vtracks=vtracks)
+        states = [
+            RoutingState(clustered_placement(
+                tiny_netlist, arch.build(), random.Random(seed)
+            ))
+            for _ in range(2)
+        ]
+        cached, exhaustive = states
+        router = IncrementalRouter(cached)
+        router.route_all_from_scratch()
+        exhaustive_drain(exhaustive)
+        assert_same_routing(cached, exhaustive)
+        assert not cached.is_complete()
+
+        rng = random.Random(seed)
+        netlist = tiny_netlist
+        slots = cached.fabric.slots_of_kind("logic")
+        for step in range(40):
+            # Move a placed logic cell to another logic slot, swapping
+            # with its occupant if any.
+            slot_a = rng.choice(
+                [slot for slot in slots if cached.placement.cell_at(slot) is not None]
+            )
+            slot_b = rng.choice([slot for slot in slots if slot != slot_a])
+            nets = set()
+            for slot in (slot_a, slot_b):
+                cell = cached.placement.cell_at(slot)
+                if cell is not None:
+                    nets.update(netlist.nets_of_cell(cell))
+            journals = [NetJournal(state) for state in states]
+            for state, journal in zip(states, journals):
+                state_router = IncrementalRouter(state)
+                state_router.rip_up_nets(nets, journal)
+                state.placement.swap_slots(slot_a, slot_b)
+                state_router.refresh_nets(nets)
+            router.repair(journals[0])
+            exhaustive_drain(exhaustive, journals[1])
+            assert_same_routing(cached, exhaustive)
+            if step % 2:
+                for state, journal in zip(states, journals):
+                    state.placement.swap_slots(slot_a, slot_b)
+                    journal.restore_all()
+                assert_same_routing(cached, exhaustive)

@@ -469,6 +469,20 @@ class TestReport:
         assert out_a.read_text(encoding="utf-8") == \
             GOLDEN.read_text(encoding="utf-8")
 
+    def test_generator_reproduces_committed_fixtures(self, tmp_path):
+        # The golden tests above compare against these files; a stale
+        # file (say, a digest the ledger no longer computes) passes
+        # them, so regeneration itself must be a no-op.
+        fixture_generator().main(tmp_path)
+        names = ("ledger_fixture.jsonl", "ledger_report_golden.html",
+                 "ledger_trace_seed3.jsonl", "ledger_trace_seed5.jsonl")
+        for name in names:
+            assert (tmp_path / name).read_bytes() == \
+                (DATA / name).read_bytes(), (
+                    f"{name} differs from its regeneration; re-baseline with "
+                    "PYTHONPATH=src python tests/data/make_ledger_fixture.py"
+                )
+
     def test_report_degrades_without_traces(self, tmp_path):
         html = render_report([basic_record()], {}, title="No traces")
         assert "no trace" in html.lower() or "convergence" in html.lower()

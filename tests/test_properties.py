@@ -1,6 +1,7 @@
 """Property-based tests (hypothesis) on core data structures and invariants."""
 
 import random
+from functools import lru_cache
 
 import pytest
 
@@ -15,10 +16,40 @@ from repro.arch import (
     mixed_segmentation,
     uniform_segmentation,
 )
-from repro.netlist import CircuitSpec, generate, validate
-from repro.route import DEFAULT_SEGMENT_WEIGHT, column_scan_order
+from repro.netlist import CircuitSpec, generate, tiny, validate
+from repro.place import clustered_placement
+from repro.route import (
+    DEFAULT_SEGMENT_WEIGHT,
+    RoutingState,
+    column_scan_order,
+    route_net_global,
+)
 from repro.timing import RCTree
 from repro.timing.estimator import estimate_by_position
+
+from conftest import architecture_for
+
+
+@lru_cache(maxsize=None)
+def _tiny_arch(tracks, vtracks):
+    netlist = tiny(seed=1)
+    return netlist, architecture_for(netlist, tracks=tracks, vtracks=vtracks)
+
+
+def _unrouted_state(tracks=6, vtracks=6):
+    """A routing state on a fresh fabric: nothing claimed, no caches."""
+    netlist, arch = _tiny_arch(tracks, vtracks)
+    return RoutingState(
+        clustered_placement(netlist, arch.build(), random.Random(0))
+    )
+
+
+def _release_and_log(plane, owner, claim, log):
+    """Release ``claim`` and log its segment span, as
+    ``RoutingState.rip_up`` does."""
+    plane.release(owner, claim)
+    segs = plane.segmentation.tracks[claim.track]
+    log(segs[claim.first_seg][0], segs[claim.last_seg][1] - 1)
 
 
 class TestSegmentationProperties:
@@ -169,6 +200,7 @@ class TestChannelProperties:
                 candidates, lambda c: (c.wastage, c.num_segments)
             )
             assert (got is None) == (not candidates)
+            assert channel.all_blocked(lo, hi) == (not candidates)
             if live and rng.random() < 0.3:
                 net, claim = live.pop(rng.randrange(len(live)))
                 channel.release(net, claim)
@@ -176,6 +208,66 @@ class TestChannelProperties:
                 live.append(
                     (step, channel.claim(step, rng.choice(candidates), lo, hi))
                 )
+
+
+class TestNegativeCacheProperties:
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_detail_hopeless_iff_interval_blocked(self, data):
+        """A cached detail failure reads hopeless exactly when the
+        channel has no candidate for its interval, whatever claims and
+        releases happened since it was recorded."""
+        tracks = data.draw(st.integers(min_value=1, max_value=6), label="tracks")
+        state = _unrouted_state(tracks=tracks)
+        index = data.draw(
+            st.integers(min_value=0, max_value=state.fabric.num_channels - 1),
+            label="channel",
+        )
+        channel = state.fabric.channels[index]
+        width = channel.width
+        lo = data.draw(st.integers(min_value=0, max_value=width - 1), label="lo")
+        hi = data.draw(st.integers(min_value=lo, max_value=width - 1), label="hi")
+        rng = random.Random(data.draw(st.integers(min_value=0, max_value=10_000)))
+
+        def log(a, b):
+            state._log_channel_release(index, a, b)
+
+        live = []
+        for step in range(80):
+            blocked = channel.best_weighted(lo, hi, DEFAULT_SEGMENT_WEIGHT) is None
+            if index in state._detail_fail[0]:
+                assert state.detail_attempt_is_hopeless(0, index) == blocked
+            elif blocked:
+                # What a failed attempt records.
+                state.note_detail_failure(0, index, lo, hi)
+            if live and rng.random() < 0.35:
+                _release_and_log(channel, *live.pop(rng.randrange(len(live))), log)
+                continue
+            a = rng.randrange(width)
+            b = rng.randrange(a, width)
+            if rng.random() < 0.3:
+                a, b = lo, hi
+            candidates = list(channel.candidates(a, b))
+            if candidates:
+                owner = 1000 + step
+                live.append(
+                    (owner, channel.claim(owner, rng.choice(candidates), a, b))
+                )
+
+    def test_net_without_global_route_is_hopeless_in_every_channel(self):
+        state = _unrouted_state()
+        multis = [route for route in state.routes if route.needs_vertical]
+        assert multis
+        for route in multis:
+            for channel in route.pin_channels:
+                assert state.detail_attempt_is_hopeless(route.net_index, channel)
+        single = next(route for route in state.routes if not route.needs_vertical)
+        for channel in single.pin_channels:
+            assert not state.detail_attempt_is_hopeless(single.net_index, channel)
+        route = multis[0]
+        assert route_net_global(state, route.net_index)
+        for channel in route.pin_channels:
+            assert not state.detail_attempt_is_hopeless(route.net_index, channel)
 
 
 class TestRCTreeProperties:
@@ -319,6 +411,58 @@ class TestColumnMaskProperties:
         ]
         found = fabric.column_masks.nearest_free(cmin, cmax, center)
         assert found == (feasible[0] if feasible else None)
+        assert fabric.column_masks.free_columns(cmin, cmax) == sum(
+            1 << x for x in feasible
+        )
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_global_hopeless_iff_no_column_free(self, data):
+        """A cached global failure reads hopeless exactly when no column
+        can carry its channel span."""
+        vtracks = data.draw(st.integers(min_value=1, max_value=3), label="vtracks")
+        state = _unrouted_state(vtracks=vtracks)
+        fabric = state.fabric
+        vcolumns = fabric.vcolumns
+        channels = fabric.num_channels
+        cmin = data.draw(
+            st.integers(min_value=0, max_value=channels - 1), label="cmin"
+        )
+        cmax = data.draw(
+            st.integers(min_value=cmin, max_value=channels - 1), label="cmax"
+        )
+        center = fabric.cols // 2
+        rng = random.Random(data.draw(st.integers(min_value=0, max_value=10_000)))
+        live = []
+        for step in range(120):
+            blocked = fabric.column_masks.nearest_free(cmin, cmax, center) is None
+            if state._global_fail[0] is not None:
+                assert state.global_attempt_is_hopeless(0) == blocked
+            elif blocked:
+                state.note_global_failure(0, cmin, cmax)
+            if live and rng.random() < 0.3:
+                column, owner, claim = live.pop(rng.randrange(len(live)))
+                _release_and_log(
+                    vcolumns[column], owner, claim, state._log_vertical_release
+                )
+                continue
+            a = rng.randrange(channels)
+            b = rng.randrange(a, channels)
+            column = rng.randrange(fabric.cols)
+            free = [
+                x for x in range(fabric.cols)
+                if vcolumns[x].best_candidate(cmin, cmax) is not None
+            ]
+            if free and rng.random() < 0.6:
+                # Block the span at a column that can still carry it.
+                a, b = cmin, cmax
+                column = rng.choice(free)
+            candidate = vcolumns[column].best_candidate(a, b)
+            if candidate is not None:
+                owner = 1000 + step
+                live.append(
+                    (column, owner, vcolumns[column].claim(owner, candidate, a, b))
+                )
 
 
 class TestEstimatorProperties:

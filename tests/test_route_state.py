@@ -51,6 +51,19 @@ class TestGeometry:
             pins = multi.pin_channels[channel]
             assert lo <= min(pins) and hi >= max(pins)
 
+    def test_queue_key_follows_geometry(self, state):
+        router = IncrementalRouter(state)
+        router.repair()
+        nets = [route.net_index for route in state.routes[:5]]
+        router.rip_up_nets(nets)
+        router.refresh_nets(nets)
+        assert state.check_consistency() == []
+        state.queue_key[nets[0]] += 1
+        problems = state.check_consistency()
+        assert any(
+            "queue-key" in p and f"net {nets[0]} " in p for p in problems
+        )
+
     def test_refresh_with_claims_rejected(self, state):
         multi = next(r for r in state.routes if r.needs_vertical)
         route_net_global(state, multi.net_index)
