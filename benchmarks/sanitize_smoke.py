@@ -8,9 +8,13 @@ the negative caches have re-tested.  At each width it asserts:
 
 1. the sanitized run completes with zero :class:`SanitizerError`
    (every move's rollback digest, cache probe, and invariant audit
-   passed), and
+   passed),
 2. the two runs land on bit-identical metrics (the sanitizer consumes
-   no RNG and mutates no semantic state).
+   no RNG and mutates no semantic state), and
+3. both runs, traced, carry equal per-stage metric counters: repair
+   attempts, their outcomes and the negative-cache hits.  The
+   sanitizer's cache probes re-test woken failures, parking them again
+   or dropping them; repair must still make exactly the same attempts.
 
 Exit code 0 on success, 1 on any mismatch or sanitizer violation.
 CI runs this as the ``sanitize-smoke`` job.
@@ -20,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from itertools import zip_longest
 
 from repro import architecture_for
 from repro.core import AnnealerConfig, ScheduleConfig, SimultaneousAnnealer
@@ -42,11 +47,17 @@ def smoke_config(seed: int, sanitize: bool) -> AnnealerConfig:
             lambda_=1.4, max_temperatures=16, freeze_patience=2
         ),
         sanitize=sanitize,
+        trace=True,
     )
 
 
 def comparable_metrics(result) -> dict[str, float]:
     return {k: v for k, v in result.metrics().items() if k != "wall_time_s"}
+
+
+def stage_counters(result) -> list[dict]:
+    """Each stage event's metric counter deltas, in stage order."""
+    return [stage.get("metrics", {}) for stage in result.trace.stages]
 
 
 def main(argv=None) -> int:
@@ -89,8 +100,16 @@ def check_width(netlist, tracks: int, seed: int) -> bool:
     if mismatches:
         return False
 
+    pairs = zip_longest(stage_counters(plain), stage_counters(sanitized))
+    for stage, (a, b) in enumerate(pairs):
+        if a != b:
+            print(f"FAIL: trace counters diverged at {tracks} tracks in "
+                  f"stage {stage}: plain={a!r} sanitized={b!r}")
+            return False
+
     print(
-        f"OK: sanitized anneal clean and bit-identical at {tracks} tracks "
+        f"OK: sanitized anneal clean, bit-identical and counter-identical "
+        f"at {tracks} tracks "
         f"({plain.moves_attempted} moves, "
         f"T={plain.worst_delay:.4f} ns, "
         f"fully_routed={plain.fully_routed})"

@@ -371,6 +371,24 @@ class Channel:
             (self._word & self._tables.run(lo, hi)) + self._carry
         ) & guards == guards
 
+    def free_run(self, track: int, first_seg: int, last_seg: int) -> tuple[int, int]:
+        """Columns of the maximal free run on ``track`` around segments
+        ``first_seg..last_seg``, which must be free.
+
+        An interval inside the returned columns can route on ``track``
+        now.  The run's ends are the nearest owned segments below and
+        above, one bit operation each on the track's bitmask.
+        """
+        occ = self._occ[track]
+        segs = self.segmentation.tracks[track]
+        first = (occ & ((1 << first_seg) - 1)).bit_length()
+        above = occ >> (last_seg + 1)
+        last = (
+            last_seg + (above & -above).bit_length() - 1 if above
+            else len(segs) - 1
+        )
+        return segs[first][0], segs[last][1] - 1
+
     def _first_free(
         self, span: int, table: tuple[int, list[tuple]]
     ) -> Optional[TrackCandidate]:

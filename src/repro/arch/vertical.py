@@ -208,6 +208,12 @@ class VerticalColumn:
         """Re-commit a claim captured earlier (move rollback)."""
         self._channel.reclaim(net, self._to_channel_claim(claim))
 
+    def free_run(self, track: int, first_seg: int, last_seg: int) -> tuple[int, int]:
+        """Channels of the maximal free run on ``track`` around segments
+        ``first_seg..last_seg`` (see
+        :meth:`~repro.arch.channel.Channel.free_run`)."""
+        return self._channel.free_run(track, first_seg, last_seg)
+
     def _to_channel_claim(self, claim: VerticalClaim) -> ChannelClaim:
         if claim.column != self.column:
             raise ValueError(

@@ -14,9 +14,8 @@ cross-checks the three things the hot path silently depends on:
 1. **Rollback completeness** — a rejected move must restore placement,
    routing claims, unrouted bookkeeping, and timing state bit-exactly.
    The sanitizer digests the semantic state before the move and
-   compares after the rollback (memoization side-state — negative
-   caches and release logs — is deliberately excluded: it may advance,
-   never lie).
+   compares after the rollback (memoization side-state — the negative
+   caches — is deliberately excluded: it may advance, never lie).
 2. **Negative-cache coherence** — a cached "this net cannot route
    here" entry that still reads hopeless must agree with a fresh,
    side-effect-free feasibility probe.  One channel (and one net's
@@ -84,9 +83,9 @@ class SanitizerError(RuntimeError):
 def layout_digest(ctx: Any) -> dict[str, Any]:
     """Hashable snapshot of every *semantic* field of the layout state.
 
-    Excludes memoization side-state (negative caches, release logs,
-    net delay caches): those are allowed to advance across a rejected
-    move because they are pure functions of the semantic state.
+    Excludes memoization side-state (negative caches, net delay
+    caches): it may change across a rejected move, but never changes
+    an answer the layout gives.
     """
     placement = ctx.placement
     state = ctx.state

@@ -19,10 +19,10 @@ Two deliberate choices keep that guarantee honest:
   enough to flip a later accept/reject.  Python's ``json`` round-trips
   floats exactly, so adopting the stored arrays reproduces the
   trajectory bit-for-bit.
-* The routing negative caches and release logs are *not* serialized.
-  They are pure memoization: a cached-hopeless attempt that is retried
-  after resume fails again with no side effects on claims, costs, or
-  the RNG, so dropping them changes metrics counters at most.
+* The routing negative caches are *not* serialized.  They are pure
+  memoization: a cached-hopeless attempt that is retried after resume
+  fails again with no side effects on claims, costs, or the RNG, so
+  dropping them changes metrics counters at most.
 
 On disk a checkpoint is one compact JSON envelope::
 

@@ -103,9 +103,9 @@ class NetJournal:
         A journaled net whose route version is unchanged since snapshot
         is provably already in its snapshot state, so the
         rip-up/re-commit round trip collapses to
-        :meth:`RoutingState.log_phantom_releases`, which reproduces the
-        round trip's only lasting side effects (release-log entries and
-        fail-cache clears) without touching occupancy.  That path is
+        :meth:`RoutingState.log_phantom_releases`, which makes the
+        round trip's only lasting side effect, forgetting the net's
+        cached failures, without touching occupancy.  That path is
         rare: ripped nets always change, and repair attempts only nets
         that can route, except a first attempt that fails.  Changed
         nets restore geometry by assignment from the snapshot instead
@@ -162,7 +162,7 @@ class IncrementalRouter:
 
         Mutates: the routing state (releases claims) and ``journal``
         (records pre-rip snapshots).  Rip-up order follows sorted net
-        index so the release logs never depend on set iteration order.
+        index, so nothing downstream depends on set iteration order.
         """
         rip_up = self.state.rip_up
         snapshot = None if journal is None else journal.snapshot
@@ -195,17 +195,19 @@ class IncrementalRouter:
         placement).
 
         Only channels with pending nets are visited, and a net is
-        attempted only when it can route or has no cached failure: the
-        negative caches on :class:`RoutingState` skip a net without a
-        global route in every channel, and a net whose last attempt
-        failed until an exact occupancy test shows capacity it can use.
-        So only a first attempt can fail.  A skipped attempt would have
-        failed, and a failed attempt commits nothing, so the claims
-        committed are identical, in the same order, to an exhaustive
-        scan's.
+        attempted only when it can route or has no cached failure (see
+        the negative caches on :class:`RoutingState`).  Each queue is
+        cut to its candidates with one set difference: a net without a
+        global route is skipped in every channel, and so is a parked
+        net, one whose last attempt failed and that no release has
+        woken since.  Only a woken net, one a release may have freed,
+        pays an exact occupancy test.  So only a first attempt can
+        fail.  A skipped attempt would have failed, and a failed attempt
+        commits nothing, so the claims committed are identical, in the
+        same order, to an exhaustive scan's.
 
         Mutates: the routing state (commits claims) and ``journal``
-        (snapshots every net attempted).  Pending sets are drained in
+        (snapshots every net attempted).  Candidates are drained in
         :func:`ripup_order`, so the attempt order is a pure function of
         queue contents.
         """
@@ -223,11 +225,11 @@ class IncrementalRouter:
         hopeless_detail = state.detail_attempt_is_hopeless
         segment_weight = self.segment_weight
 
-        pending_global = ripup_order(state, state.unrouted_global)
-        for net_index in pending_global:
-            if hopeless_global(net_index):
-                if mx is not None:
-                    mx.count("cache.global_hit")
+        candidates, woken = state.global_candidates()
+        skipped = len(state.unrouted_global) - len(candidates)
+        for net_index in ripup_order(state, candidates):
+            if net_index in woken and hopeless_global(net_index):
+                skipped += 1
                 continue
             if snapshot is not None and net_index not in snapshotted:
                 snapshot(net_index)
@@ -237,14 +239,16 @@ class IncrementalRouter:
             ok = route_net_global(state, net_index)
             if mx is not None:
                 mx.count("repair.global_ok" if ok else "repair.global_fail")
+        if mx is not None and skipped:
+            mx.count("cache.global_hit", skipped)
 
         unrouted_detail = state.unrouted_detail
         for channel in sorted(state.dirty_channels):
-            pending = ripup_order(state, unrouted_detail[channel])
-            for net_index in pending:
-                if hopeless_detail(net_index, channel):
-                    if mx is not None:
-                        mx.count("cache.detail_hit")
+            candidates, woken = state.detail_candidates(channel)
+            skipped = len(unrouted_detail[channel]) - len(candidates)
+            for net_index in ripup_order(state, candidates):
+                if net_index in woken and hopeless_detail(net_index, channel):
+                    skipped += 1
                     continue
                 if snapshot is not None and net_index not in snapshotted:
                     snapshot(net_index)
@@ -256,6 +260,8 @@ class IncrementalRouter:
                 )
                 if mx is not None:
                     mx.count("repair.detail_ok" if ok else "repair.detail_fail")
+            if mx is not None and skipped:
+                mx.count("cache.detail_hit", skipped)
         return touched
 
     def route_all_from_scratch(self) -> None:

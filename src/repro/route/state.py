@@ -119,6 +119,26 @@ class NetRoute:
         return pins + taps
 
 
+def _wake(
+    parked: dict[int, Interval], woken: dict[int, Interval], run: Interval
+) -> None:
+    """Move every parked entry whose interval lies inside ``run`` to
+    ``woken``.
+
+    ``run`` is the maximal free run a release just left on one track
+    (:meth:`~repro.arch.channel.Channel.free_run`): an interval inside
+    it can route on that track now, and the release gave no other
+    interval a free covering run there.
+
+    Mutates: ``parked`` and ``woken``.
+    """
+    lo, hi = run
+    for net_index in [
+        net for net, (a, b) in parked.items() if lo <= a and b <= hi
+    ]:
+        woken[net_index] = parked.pop(net_index)
+
+
 class RoutingState:
     """All net routes plus the unrouted bookkeeping (U_G, U_DR)."""
 
@@ -151,24 +171,18 @@ class RoutingState:
         self._missing: list[int] = [0] * len(self.routes)
         self._counts_d: list[bool] = [False] * len(self.routes)
         self._d_count = 0
-        # Negative-result caches for the repair fast path.  Routing a
-        # net can only *consume* segments; a failed attempt stays failed
-        # until capacity overlapping the needed interval is released.
-        # Each channel keeps an append-only log of released column
-        # spans (the vertical plane keeps one of channel spans); a
-        # recorded failure carries its log position and needed interval
-        # and is re-tested against occupancy only once a later release
-        # overlaps it.
-        self._channel_releases: list[list[Interval]] = [
-            [] for _ in range(self.fabric.num_channels)
+        # Negative-result caches (see "Negative-result caches" below):
+        # per channel, net -> the column interval its failed detail
+        # attempt needs, either *parked* or *woken*; the vertical plane
+        # keeps the same two books of channel spans.
+        self._parked: list[dict[int, Interval]] = [
+            {} for _ in range(self.fabric.num_channels)
         ]
-        self._vertical_releases: list[Interval] = []
-        self._detail_fail: list[dict[int, tuple[int, int, int]]] = [
-            {} for _ in range(len(self.routes))
+        self._woken: list[dict[int, Interval]] = [
+            {} for _ in range(self.fabric.num_channels)
         ]
-        self._global_fail: list[Optional[tuple[int, int, int]]] = (
-            [None] * len(self.routes)
-        )
+        self._parked_global: dict[int, Interval] = {}
+        self._woken_global: dict[int, Interval] = {}
         #: Per-net monotonic route-version counter, bumped by every
         #: mutation of the net's route record (geometry refresh, rip-up,
         #: vertical/detail commit).  Version equality between two
@@ -232,7 +246,7 @@ class RoutingState:
         it is re-marked unrouted.
 
         Mutates: the net's route record and queue key, unrouted books,
-        fail caches.
+        negative caches.
         """
         route = self.routes[net_index]
         if route.vertical is not None or route.claims:
@@ -252,6 +266,10 @@ class RoutingState:
 
     def _mark_unrouted(self, route: NetRoute) -> None:
         net_index = route.net_index
+        # Geometry (and hence requirements) may have changed: forget
+        # the net's cached failures while its old pending channels,
+        # the only ones that can hold them, are still recorded.
+        self._forget_failures(net_index)
         if route.cmax > route.cmin:  # needs_vertical, sans property call
             self.unrouted_global.add(net_index)
         else:
@@ -278,10 +296,6 @@ class RoutingState:
         # discarding and re-adding the same memberships is a no-op —
         # common when an unrouted net is ripped up again.
         self._missing[net_index] = len(pending_channels)
-        # Geometry (and hence requirements) may have changed: forget
-        # every cached routing failure for this net.
-        self._detail_fail[net_index].clear()
-        self._global_fail[net_index] = None
         self._refresh_d(net_index)
 
     def _refresh_d(self, net_index: int) -> None:
@@ -308,6 +322,8 @@ class RoutingState:
         route.vertical = claim
         self.route_version[net_index] += 1
         self.unrouted_global.discard(net_index)
+        self._parked_global.pop(net_index, None)
+        self._woken_global.pop(net_index, None)
         self._refresh_d(net_index)
 
     def commit_detail(self, net_index: int, claim: ChannelClaim) -> None:
@@ -327,72 +343,71 @@ class RoutingState:
         This is the paper's move side effect: "each move that alters
         cells removes any routing associated with the pins on the moved
         cells" (Section 3.2).
+
+        Each release wakes the parked failures it could have freed (see
+        "Negative-result caches" below).  A wake depends only on its
+        own channel (or the vertical plane), and each claim sits in its
+        own channel, so the release order does not matter.
+
+        Mutates: fabric occupancy, the net's route record, unrouted
+        books, negative caches.
         """
         route = self.routes[net_index]
         if route.vertical is not None:
-            claim = route.vertical
-            self.fabric.vcolumns[claim.column].release(net_index, claim)
-            segs = self.fabric.vcolumns[claim.column].segmentation.tracks[
-                claim.track
-            ]
-            self._log_vertical_release(
-                segs[claim.first_seg][0], segs[claim.last_seg][1] - 1
-            )
+            self._release_vertical(net_index, route.vertical)
             route.vertical = None
-        # Channel-sorted release order keeps the release logs (which
-        # the negative caches replay) independent of claim insertion
-        # history.
-        for channel in sorted(route.claims):
-            claim = route.claims[channel]
-            self.fabric.channels[claim.channel].release(net_index, claim)
-            segs = self.fabric.channels[claim.channel].segmentation.tracks[
-                claim.track
-            ]
-            self._log_channel_release(
-                claim.channel, segs[claim.first_seg][0], segs[claim.last_seg][1] - 1
-            )
+        for claim in route.claims.values():
+            self._release_detail(net_index, claim)
         route.claims = {}
         self.route_version[net_index] += 1
         self._mark_unrouted(route)
 
+    def _release_detail(self, net_index: int, claim: ChannelClaim) -> None:
+        """Free one channel claim and wake the failures it could free.
+
+        The route record is the caller's to update (see :meth:`rip_up`).
+
+        Mutates: channel occupancy, the channel's negative-cache books.
+        """
+        channel = self.fabric.channels[claim.channel]
+        channel.release(net_index, claim)
+        parked = self._parked[claim.channel]
+        if parked:
+            _wake(
+                parked, self._woken[claim.channel],
+                channel.free_run(claim.track, claim.first_seg, claim.last_seg),
+            )
+
+    def _release_vertical(self, net_index: int, claim: VerticalClaim) -> None:
+        """:meth:`_release_detail` for a vertical claim.
+
+        Mutates: column occupancy and masks, the global negative-cache
+        books.
+        """
+        column = self.fabric.vcolumns[claim.column]
+        column.release(net_index, claim)
+        if self._parked_global:
+            _wake(
+                self._parked_global, self._woken_global,
+                column.free_run(claim.track, claim.first_seg, claim.last_seg),
+            )
+
     def log_phantom_releases(self, net_index: int) -> None:
-        """Log the releases a rip-up of this net *would* produce.
+        """Forget the net's cached failures, as a rip-up round trip would.
 
         The journal fast-restore path skips rip-up + re-commit for a
         net whose route record is provably untouched since snapshot
-        (route version unchanged).  This appends the log entries the
-        round trip would have appended, in the identical order
-        (vertical first, then channels in sorted order), and applies
-        the same per-net fail-cache clears :meth:`_mark_unrouted`
-        would, without touching occupancy, geometry, or the pending
-        books.  Since the negative caches re-test occupancy exactly, no
-        claim depends on these entries: they only keep the caches'
-        queries, and so the repair trace counters, what the round trip
-        would give.  The flow benchmark counts these calls as
-        ``route.phantom``.
+        (route version unchanged).  The round trip's only side effect
+        that repair can see is the cache clear :meth:`_mark_unrouted`
+        makes.  Its releases would also wake entries, but the re-commit
+        takes back everything they freed, so a woken entry would only
+        be tested and parked again: skipping the wake changes no
+        answer.  The method keeps its name only because the flow
+        benchmark hooks it as ``route.phantom``.
 
-        Mutates: release logs (and, via compaction, every net's fail
-        caches), this net's fail caches.
+        Mutates: this net's negative-cache entries.
         """
-        route = self.routes[net_index]
-        vertical = route.vertical
-        if vertical is not None:
-            segs = self.fabric.vcolumns[vertical.column].segmentation.tracks[
-                vertical.track
-            ]
-            self._log_vertical_release(
-                segs[vertical.first_seg][0], segs[vertical.last_seg][1] - 1
-            )
-        for channel in sorted(route.claims):
-            claim = route.claims[channel]
-            segs = self.fabric.channels[claim.channel].segmentation.tracks[
-                claim.track
-            ]
-            self._log_channel_release(
-                claim.channel, segs[claim.first_seg][0], segs[claim.last_seg][1] - 1
-            )
-        self._detail_fail[net_index].clear()
-        self._global_fail[net_index] = None
+        self._forget_failures(net_index)
 
     # ------------------------------------------------------------------
     # Cost-function counters and diagnostics
@@ -407,6 +422,10 @@ class RoutingState:
             # membership exactly (remove raises on drift, as an audit).
             self._pending_channels[net_index].remove(channel)
             self._missing[net_index] -= 1
+            # Cached failures exist only for pending pairs; a woken
+            # entry reaches here when a batch router routes it untested.
+            self._parked[channel].pop(net_index, None)
+            self._woken[channel].pop(net_index, None)
             self._refresh_d(net_index)
 
     def discard_detail_pending(self, net_index: int, channel: int) -> None:
@@ -416,112 +435,110 @@ class RoutingState:
     # ------------------------------------------------------------------
     # Negative-result caches (repair fast path)
     # ------------------------------------------------------------------
-    # Claims only ever shrink the free segment set, so a failed attempt
-    # to cover ``[lo, hi]`` stays a failure until a *release overlapping
-    # that interval* happens in the same channel: every segment of a
-    # track's covering run contains at least one column of [lo, hi], so
-    # a release with no column overlap cannot unblock any track.  The
-    # same argument holds for global routing with channel spans in
-    # place of column intervals.  An overlapping release only *may*
-    # have unblocked the interval, so the cache then re-tests
-    # occupancy exactly instead of letting a retry find out: a cached
-    # failure reads hopeless exactly when the attempt would fail.
-    # Cached failures are cleared in :meth:`_mark_unrouted` (the single
-    # place a net's geometry or trunk — and hence its needed intervals
-    # — can change).
+    # A failed attempt *parks* the net with the interval it needs (for
+    # global routing, its channel span).  Claims only take segments, so
+    # a parked interval stays blocked until a release frees a segment
+    # of one of its covering runs.  Each release *wakes* the parked
+    # entries inside the maximal free run it leaves on its track (see
+    # :func:`_wake`), and only a woken entry pays an exact occupancy
+    # test.  This is exact: if a parked interval can route on track
+    # ``t`` now, take the last release that freed a segment of its
+    # covering run on ``t``.  Nothing claimed a segment of that run
+    # since (it is free now and no later release freed one), so right
+    # after that release the whole run was free, joined to the freed
+    # segments, and the release woke the entry.  A woken entry found
+    # free is dropped, so an entry no release woke is still blocked.
+    # Entries live only for pending (net, channel) pairs and for nets
+    # in ``unrouted_global``: :meth:`_mark_unrouted` (the single place
+    # a net's needed intervals can change), :meth:`commit_vertical` and
+    # :meth:`_drop_pending` forget them.
 
-    #: Release-log length at which a channel's log is compacted (all
-    #: cached failures referencing it are dropped, forcing one retry).
-    RELEASE_LOG_CAP = 65536
-
-    def _log_channel_release(self, channel: int, lo: int, hi: int) -> None:
-        log = self._channel_releases[channel]
-        log.append((lo, hi))
-        if len(log) > self.RELEASE_LOG_CAP:
-            for fails in self._detail_fail:
-                fails.pop(channel, None)
-            log.clear()
-
-    def _log_vertical_release(self, cmin: int, cmax: int) -> None:
-        log = self._vertical_releases
-        log.append((cmin, cmax))
-        if len(log) > self.RELEASE_LOG_CAP:
-            self._global_fail = [None] * len(self.routes)
-            log.clear()
+    def _forget_failures(self, net_index: int) -> None:
+        """Drop the net's entries from every negative-cache book."""
+        for channel in self._pending_channels[net_index]:
+            self._parked[channel].pop(net_index, None)
+            self._woken[channel].pop(net_index, None)
+        self._parked_global.pop(net_index, None)
+        self._woken_global.pop(net_index, None)
 
     def detail_attempt_is_hopeless(self, net_index: int, channel: int) -> bool:
         """Whether a detail attempt for the net in ``channel`` must fail.
 
-        A net without a global route reads hopeless in every channel
-        (it "automatically cannot be detail routed", Section 3.4).  A
-        cached failure reads hopeless until a logged release overlaps
-        its interval; at the first such release one packed-word test
-        (:meth:`~repro.arch.channel.Channel.all_blocked`) decides.  If
-        every track is still blocked the entry advances to the log's
-        end, exactly what a failed retry would record; otherwise it is
-        dropped and the attempt that follows commits a claim.  Any
-        other net reads False.  Amortized O(1) per query.
+        A parked failure reads hopeless.  A woken one pays one
+        packed-word test
+        (:meth:`~repro.arch.channel.Channel.all_blocked`): still
+        blocked, it is parked again and reads hopeless; free, it is
+        dropped and the attempt that follows commits a claim.  A net
+        with no entry reads hopeless exactly when it has no global
+        route (it "automatically cannot be detail routed", Section
+        3.4).  O(1).
         """
-        entry = self._detail_fail[net_index].get(channel)
+        entry = self._woken[channel].pop(net_index, None)
         if entry is None:
-            return net_index in self.unrouted_global
-        position, lo, hi = entry
-        releases = self._channel_releases[channel]
-        end = len(releases)
-        for i in range(position, end):
-            released = releases[i]
-            if released[0] <= hi and lo <= released[1]:
-                if self.fabric.channels[channel].all_blocked(lo, hi):
-                    break
-                del self._detail_fail[net_index][channel]
-                return False
-        if end != position:
-            self._detail_fail[net_index][channel] = (end, lo, hi)
-        return True
+            return (
+                net_index in self._parked[channel]
+                or net_index in self.unrouted_global
+            )
+        if self.fabric.channels[channel].all_blocked(*entry):
+            self._parked[channel][net_index] = entry
+            return True
+        return False
 
     def note_detail_failure(self, net_index: int, channel: int,
                             lo: int, hi: int) -> None:
-        """Record a no-candidate detail failure for ``[lo, hi]``.
+        """Park the net in ``channel`` after a no-candidate failure.
 
         Only meaningful for a globally-routed net (whose requirement in
         the channel is pinned until the next rip-up); callers must not
         record failures caused by a missing global route.
         """
-        self._detail_fail[net_index][channel] = (
-            len(self._channel_releases[channel]), lo, hi
-        )
+        self._woken[channel].pop(net_index, None)
+        self._parked[channel][net_index] = (lo, hi)
 
     def global_attempt_is_hopeless(self, net_index: int) -> bool:
         """Whether a global attempt for the net must fail.
 
         The vertical-plane twin of :meth:`detail_attempt_is_hopeless`:
-        at the first logged vertical release overlapping the cached
-        ``[cmin, cmax]`` span, one
-        :meth:`~repro.arch.vertical.ColumnMasks.free_columns` query
-        decides whether any column can carry the span.  A net with no
-        cached failure reads False.  Amortized O(1) per query.
+        a parked span reads hopeless, and a woken one pays one
+        :meth:`~repro.arch.vertical.ColumnMasks.free_columns` query.
+        A net with no entry reads False.  O(1) per vertical track.
         """
-        entry = self._global_fail[net_index]
+        entry = self._woken_global.pop(net_index, None)
         if entry is None:
+            return net_index in self._parked_global
+        if self.fabric.column_masks.free_columns(*entry):
             return False
-        position, cmin, cmax = entry
-        releases = self._vertical_releases
-        end = len(releases)
-        for i in range(position, end):
-            released = releases[i]
-            if released[0] <= cmax and cmin <= released[1]:
-                if not self.fabric.column_masks.free_columns(cmin, cmax):
-                    break
-                self._global_fail[net_index] = None
-                return False
-        if end != position:
-            self._global_fail[net_index] = (end, cmin, cmax)
+        self._parked_global[net_index] = entry
         return True
 
     def note_global_failure(self, net_index: int, cmin: int, cmax: int) -> None:
-        """Record an all-columns-infeasible global failure for the span."""
-        self._global_fail[net_index] = (
-            len(self._vertical_releases), cmin, cmax
+        """Park the net after an all-columns-infeasible global failure."""
+        self._woken_global.pop(net_index, None)
+        self._parked_global[net_index] = (cmin, cmax)
+
+    def detail_candidates(
+        self, channel: int
+    ) -> tuple[set[int], dict[int, Interval]]:
+        """The channel's pending nets that may route, and its woken book.
+
+        Pending minus parked minus globally unrouted: every net left
+        out reads hopeless without a test.  Of the candidates, only
+        those in the returned woken book need
+        :meth:`detail_attempt_is_hopeless`; the rest have no entry and
+        attempt directly.
+        """
+        return (
+            self.unrouted_detail[channel]
+            .difference(self._parked[channel])
+            .difference(self.unrouted_global),
+            self._woken[channel],
+        )
+
+    def global_candidates(self) -> tuple[set[int], dict[int, Interval]]:
+        """:meth:`detail_candidates` for the global queue."""
+        return (
+            self.unrouted_global.difference(self._parked_global),
+            self._woken_global,
         )
 
     # ------------------------------------------------------------------
@@ -535,16 +552,13 @@ class RoutingState:
         candidate means the cache would have wrongly skipped a routable
         net.  The probe itself is side-effect-free (``candidates`` only
         reads occupancy).  Querying :meth:`detail_attempt_is_hopeless`
-        may advance or drop an entry after re-testing occupancy; that
-        changes which later attempts repair makes, never the claims
-        they commit.
+        may park or drop a woken entry after re-testing occupancy; the
+        next repair would have made the same test, so this changes no
+        attempt it makes.
         """
         problems: list[str] = []
-        for net_index in range(len(self.routes)):
-            entry = self._detail_fail[net_index].get(channel)
-            if entry is None:
-                continue
-            _, lo, hi = entry
+        entries = {**self._parked[channel], **self._woken[channel]}
+        for net_index, (lo, hi) in sorted(entries.items()):
             if not self.detail_attempt_is_hopeless(net_index, channel):
                 continue
             probe = next(
@@ -565,10 +579,12 @@ class RoutingState:
         for a feasible vertical candidate; finding one means the cache
         would have wrongly skipped a globally-routable net.
         """
-        entry = self._global_fail[net_index]
+        entry = self._parked_global.get(net_index) or self._woken_global.get(
+            net_index
+        )
         if entry is None:
             return []
-        _, cmin, cmax = entry
+        cmin, cmax = entry
         if not self.global_attempt_is_hopeless(net_index):
             return []
         for column in range(self.fabric.cols):
@@ -579,6 +595,53 @@ class RoutingState:
                     f"column {column} has a feasible vertical candidate"
                 ]
         return []
+
+    def _audit_cache_books(self) -> list[str]:
+        """The negative-cache books hold at most one entry per pending
+        (net, channel) pair, with the interval the net needs there, and
+        global entries only for nets in ``unrouted_global``, with their
+        channel span."""
+        problems: list[str] = []
+        for channel in range(self.fabric.num_channels):
+            books = {"parked": self._parked[channel], "woken": self._woken[channel]}
+            for net_index in sorted(books["parked"].keys() & books["woken"].keys()):
+                problems.append(
+                    f"net {net_index} is both parked and woken in ch{channel}"
+                )
+            for name, book in books.items():
+                for net_index, interval in sorted(book.items()):
+                    route = self.routes[net_index]
+                    if net_index not in self.unrouted_detail[channel]:
+                        why = "is not pending there"
+                    elif channel in route.claims:
+                        why = "holds a claim there"
+                    elif not route.globally_routed:
+                        why = "has no global route"
+                    elif route.requirements()[channel] != interval:
+                        why = f"needs {list(route.requirements()[channel])}"
+                    else:
+                        continue
+                    problems.append(
+                        f"{name} detail entry {list(interval)} for net "
+                        f"{net_index} in ch{channel}: the net {why}"
+                    )
+        books = {"parked": self._parked_global, "woken": self._woken_global}
+        for net_index in sorted(books["parked"].keys() & books["woken"].keys()):
+            problems.append(f"net {net_index} is both parked and woken globally")
+        for name, book in books.items():
+            for net_index, span in sorted(book.items()):
+                route = self.routes[net_index]
+                if net_index not in self.unrouted_global:
+                    why = "is not in unrouted_global"
+                elif span != (route.cmin, route.cmax):
+                    why = f"spans {[route.cmin, route.cmax]}"
+                else:
+                    continue
+                problems.append(
+                    f"{name} global entry {list(span)} for net {net_index}: "
+                    f"the net {why}"
+                )
+        return problems
 
     def count_global_unrouted(self) -> int:
         """G: nets that need but lack a global route."""
@@ -722,6 +785,7 @@ class RoutingState:
                             f"net {route.net_index} claim in ch{channel} covers "
                             f"[{claim.lo},{claim.hi}], needs [{lo},{hi}]"
                         )
+        problems.extend(self._audit_cache_books())
         # Every owned segment must belong to a recorded claim.
         claimed: set[tuple[int, int, int]] = set()
         for route in self.routes:

@@ -44,14 +44,6 @@ def _unrouted_state(tracks=6, vtracks=6):
     )
 
 
-def _release_and_log(plane, owner, claim, log):
-    """Release ``claim`` and log its segment span, as
-    ``RoutingState.rip_up`` does."""
-    plane.release(owner, claim)
-    segs = plane.segmentation.tracks[claim.track]
-    log(segs[claim.first_seg][0], segs[claim.last_seg][1] - 1)
-
-
 class TestSegmentationProperties:
     @given(
         width=st.integers(min_value=1, max_value=200),
@@ -229,19 +221,21 @@ class TestNegativeCacheProperties:
         hi = data.draw(st.integers(min_value=lo, max_value=width - 1), label="hi")
         rng = random.Random(data.draw(st.integers(min_value=0, max_value=10_000)))
 
-        def log(a, b):
-            state._log_channel_release(index, a, b)
-
+        cached = False
         live = []
         for step in range(80):
             blocked = channel.best_weighted(lo, hi, DEFAULT_SEGMENT_WEIGHT) is None
-            if index in state._detail_fail[0]:
+            if cached:
                 assert state.detail_attempt_is_hopeless(0, index) == blocked
+                # A query that reads False drops the entry.
+                cached = blocked
             elif blocked:
                 # What a failed attempt records.
                 state.note_detail_failure(0, index, lo, hi)
+                cached = True
             if live and rng.random() < 0.35:
-                _release_and_log(channel, *live.pop(rng.randrange(len(live))), log)
+                # The release path rip-up takes, wakes included.
+                state._release_detail(*live.pop(rng.randrange(len(live))))
                 continue
             a = rng.randrange(width)
             b = rng.randrange(a, width)
@@ -252,6 +246,71 @@ class TestNegativeCacheProperties:
                 owner = 1000 + step
                 live.append(
                     (owner, channel.claim(owner, rng.choice(candidates), a, b))
+                )
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_parked_entries_stay_blocked(self, data):
+        """After any claim, release, failure and query history, every
+        parked failure in either plane is still blocked: no release
+        freed one without waking it.  That is what lets repair skip a
+        parked net untested."""
+        tracks = data.draw(st.integers(min_value=1, max_value=4), label="tracks")
+        vtracks = data.draw(st.integers(min_value=1, max_value=3), label="vtracks")
+        state = _unrouted_state(tracks=tracks, vtracks=vtracks)
+        fabric = state.fabric
+        rng = random.Random(data.draw(st.integers(min_value=0, max_value=10_000)))
+
+        def pick(width):
+            a = rng.randrange(width)
+            return a, rng.randrange(a, width)
+
+        live = []
+        for step in range(150):
+            net = rng.randrange(8)
+            index = rng.randrange(fabric.num_channels)
+            horizontal = rng.random() < 0.5
+            if horizontal:
+                plane = fabric.channels[index]
+                a, b = pick(plane.width)
+                release = state._release_detail
+            else:
+                plane = fabric.vcolumns[rng.randrange(fabric.cols)]
+                a, b = pick(plane.num_channels)
+                release = state._release_vertical
+            roll = rng.random()
+            if live and roll < 0.25:
+                release, owner, claim = live.pop(rng.randrange(len(live)))
+                release(owner, claim)
+            elif roll < 0.6:
+                # Vertical claims often take the span at every column,
+                # so spans blocked everywhere are common.
+                targets = [plane]
+                if not horizontal and rng.random() < 0.5:
+                    targets = fabric.vcolumns
+                for target in targets:
+                    candidates = list(target.candidates(a, b))
+                    if candidates:
+                        owner = 1000 + step
+                        claim = target.claim(owner, rng.choice(candidates), a, b)
+                        live.append((release, owner, claim))
+            elif roll < 0.85:
+                # What a failed attempt records.
+                if horizontal and plane.all_blocked(a, b):
+                    state.note_detail_failure(net, index, a, b)
+                elif not horizontal and not fabric.column_masks.free_columns(a, b):
+                    state.note_global_failure(net, a, b)
+            elif horizontal:
+                state.detail_attempt_is_hopeless(net, index)
+            else:
+                state.global_attempt_is_hopeless(net)
+            for channel, parked in enumerate(state._parked):
+                for lo, hi in parked.values():
+                    assert not list(fabric.channels[channel].candidates(lo, hi))
+            for cmin, cmax in state._parked_global.values():
+                assert all(
+                    column.best_candidate(cmin, cmax) is None
+                    for column in fabric.vcolumns
                 )
 
     def test_net_without_global_route_is_hopeless_in_every_channel(self):
@@ -433,18 +492,18 @@ class TestColumnMaskProperties:
         )
         center = fabric.cols // 2
         rng = random.Random(data.draw(st.integers(min_value=0, max_value=10_000)))
+        cached = False
         live = []
         for step in range(120):
             blocked = fabric.column_masks.nearest_free(cmin, cmax, center) is None
-            if state._global_fail[0] is not None:
+            if cached:
                 assert state.global_attempt_is_hopeless(0) == blocked
+                cached = blocked
             elif blocked:
                 state.note_global_failure(0, cmin, cmax)
+                cached = True
             if live and rng.random() < 0.3:
-                column, owner, claim = live.pop(rng.randrange(len(live)))
-                _release_and_log(
-                    vcolumns[column], owner, claim, state._log_vertical_release
-                )
+                state._release_vertical(*live.pop(rng.randrange(len(live))))
                 continue
             a = rng.randrange(channels)
             b = rng.randrange(a, channels)
@@ -461,7 +520,7 @@ class TestColumnMaskProperties:
             if candidate is not None:
                 owner = 1000 + step
                 live.append(
-                    (column, owner, vcolumns[column].claim(owner, candidate, a, b))
+                    (owner, vcolumns[column].claim(owner, candidate, a, b))
                 )
 
 

@@ -156,3 +156,37 @@ class TestCommitGuards:
         claim = single.claims[channel]
         with pytest.raises(RuntimeError, match="already routed"):
             state.commit_detail(single.net_index, claim)
+
+
+class TestCacheBookAudit:
+    def test_doctored_entries_are_reported(self, state):
+        singles = [r for r in state.routes if not r.needs_vertical]
+        honest, doctored = singles[0], singles[1]
+        channel = next(iter(honest.pin_channels))
+        state.note_detail_failure(
+            honest.net_index, channel, *honest.requirements()[channel]
+        )
+        assert state.check_consistency() == []
+        # A wrong interval in a channel the net is pending in, and an
+        # entry in a channel it is not pending in.
+        pending = next(iter(doctored.pin_channels))
+        lo, hi = doctored.requirements()[pending]
+        state.note_detail_failure(doctored.net_index, pending, lo, hi + 1)
+        elsewhere = next(
+            c for c in range(state.fabric.num_channels)
+            if c not in doctored.pin_channels
+        )
+        state.note_detail_failure(doctored.net_index, elsewhere, 0, 1)
+        problems = state.check_consistency()
+        assert len(problems) == 2
+        assert any(f"needs {[lo, hi]}" in problem for problem in problems)
+        assert any("is not pending there" in problem for problem in problems)
+
+    def test_doctored_global_entry_is_reported(self, state):
+        multi = next(r for r in state.routes if r.needs_vertical)
+        state.note_global_failure(multi.net_index, multi.cmin, multi.cmax)
+        assert state.check_consistency() == []
+        state.note_global_failure(multi.net_index, multi.cmin, multi.cmax + 1)
+        problems = state.check_consistency()
+        assert len(problems) == 1
+        assert f"spans {[multi.cmin, multi.cmax]}" in problems[0]
