@@ -6,9 +6,12 @@ fast-path optimization work (dirty-channel repair, negative-result
 caches, fused candidate scans): any change to the move transaction or
 the routers should be checked against it.
 
-Absolute moves/sec depends on the host, so every run also times a fixed
-pure-Python calibration loop and reports a *normalized score*
-(moves per calibration unit).  Regression checks compare normalized
+Absolute moves/sec depends on the host, and on a shared host it swings
+within one run, so every anneal is timed inside the flow benchmark's
+host-speed probe (``flowbench/speed.py``), which samples a fixed
+pure-Python loop every 20 ms while the anneal runs.  Each run reports a
+*normalized score*: its moves/sec divided by the probe's host factor,
+scaled by :data:`SCORE_SCALE_S`.  Regression checks compare normalized
 scores, which makes a checked-in baseline meaningful across machines of
 different speeds.
 
@@ -46,10 +49,6 @@ loop by at most its limit (default 5% each):
 (QoR, normalized score, measured overheads) for ``repro-fpga runs``
 analytics.
 
-``--profile`` additionally emits a per-phase timing breakdown (ripup /
-repair / timing / cost / rollback / other) into each design record so
-perf work can attribute wins.
-
 ``--check`` also pins each baseline design's trajectory: its
 ``moves_attempted``, ``moves_accepted``, ``fully_routed`` and
 ``worst_delay_ns`` must equal the baseline's exactly, so a change that
@@ -75,6 +74,15 @@ from repro import architecture_for
 from repro.core import AnnealerConfig, ScheduleConfig, SimultaneousAnnealer
 from repro.netlist import CircuitSpec, generate
 
+# The host-speed probe is the flow benchmark's (flowbench/speed.py).
+sys.path.append(str(Path(__file__).resolve().parent.parent / "flowbench"))
+from speed import REFERENCE_PROBE_S, SpeedProbe  # noqa: E402
+
+#: Scale of the normalized score: the seconds the 200,000-iteration
+#: calibration loop earlier versions timed takes on the probe's
+#: reference host (200 probe loops), so scores keep their old scale.
+SCORE_SCALE_S = 200 * REFERENCE_PROBE_S
+
 
 @dataclass(frozen=True)
 class BenchCase:
@@ -92,9 +100,7 @@ def _schedule(max_temperatures: int) -> ScheduleConfig:
     )
 
 
-def _config(
-    case: BenchCase, profile: bool, **instrumentation,
-) -> AnnealerConfig:
+def _config(case: BenchCase, **instrumentation) -> AnnealerConfig:
     """The bench anneal; ``instrumentation`` sets further config fields
     (tracing, snapshots, checkpoints, heartbeats)."""
     return AnnealerConfig(
@@ -102,7 +108,6 @@ def _config(
         attempts_per_cell=4,
         initial="clustered",
         greedy_rounds=1,
-        profile=profile,
         schedule=_schedule(case.max_temperatures),
         **instrumentation,
     )
@@ -137,51 +142,13 @@ CASES = {
 }
 
 
-def calibrate(reps: int = 3, iters: int = 200_000) -> float:
-    """Seconds for a fixed pure-Python workload (best of ``reps``).
-
-    Used to normalize moves/sec across hosts: score = moves_per_sec *
-    calibration_s is roughly machine-independent for CPython.
-    """
-    best = float("inf")
-    for _ in range(reps):
-        t0 = perf_counter()
-        acc = 0
-        for i in range(iters):
-            acc += i % 7
-        best = min(best, perf_counter() - t0)
-    assert acc >= 0
-    return best
-
-
-def _phase_breakdown(profile: dict, wall: float) -> dict:
-    """Per-phase wall-clock attribution derived from a profile record.
-
-    The move-transaction profiler times the ripup / repair / timing /
-    cost / rollback sections of every move; whatever it does not cover
-    (move selection, acceptance bookkeeping, schedule control, channel
-    scans) lands in ``other`` so the fractions sum to ~1.  Future perf
-    PRs should quote this table when claiming a win in one phase.
-    """
-    sections = dict(profile.get("section_s", {}))
-    accounted = sum(sections.values())
-    sections["other"] = max(0.0, wall - accounted)
-    denom = wall if wall > 0 else 1e-12
-    return {
-        name: {
-            "seconds": round(seconds, 4),
-            "fraction": round(seconds / denom, 4),
-        }
-        for name, seconds in sections.items()
-    }
-
-
 def run_case(
-    case: BenchCase, calibration_s: float, profile: bool,
-    ledger_path: Optional[str] = None, **instrumentation,
+    case: BenchCase, ledger_path: Optional[str] = None, **instrumentation,
 ) -> dict:
     """Run one benchmark case and return its result record.
 
+    The anneal is timed inside a :class:`SpeedProbe`, whose host factor
+    turns the run's moves/sec into its normalized score.
     ``ledger_path`` appends a run-ledger record *inside* the timed
     window, so the measured wall clock covers the locked, fsynced
     append — the honest cost a ledger-recording run pays (the anneal
@@ -191,22 +158,24 @@ def run_case(
     netlist = generate(case.spec)
     arch = architecture_for(netlist, tracks_per_channel=case.tracks)
     annealer = SimultaneousAnnealer(
-        netlist, arch, _config(case, profile, **instrumentation),
+        netlist, arch, _config(case, **instrumentation),
     )
-    t0 = perf_counter()
-    result = annealer.run()
-    if ledger_path is not None:
-        from repro.obs.ledger import append_record, make_record
+    with SpeedProbe() as probe:
+        t0 = perf_counter()
+        result = annealer.run()
+        if ledger_path is not None:
+            from repro.obs.ledger import append_record, make_record
 
-        append_record(ledger_path, make_record(
-            flow="bench", design=case.name, seed=annealer.config.seed,
-            worst_delay_ns=result.worst_delay,
-            fully_routed=result.fully_routed,
-            moves_attempted=result.moves_attempted,
-            moves_accepted=result.moves_accepted,
-        ))
-    wall = perf_counter() - t0
+            append_record(ledger_path, make_record(
+                flow="bench", design=case.name, seed=annealer.config.seed,
+                worst_delay_ns=result.worst_delay,
+                fully_routed=result.fully_routed,
+                moves_attempted=result.moves_attempted,
+                moves_accepted=result.moves_accepted,
+            ))
+        wall = perf_counter() - t0
     moves_per_sec = result.moves_attempted / wall if wall > 0 else 0.0
+    factor = probe.factor()
     record = {
         "num_cells": netlist.num_cells,
         "num_nets": netlist.num_nets,
@@ -214,15 +183,12 @@ def run_case(
         "moves_accepted": result.moves_accepted,
         "wall_time_s": round(wall, 4),
         "moves_per_sec": round(moves_per_sec, 1),
-        "normalized_score": round(moves_per_sec * calibration_s, 3),
+        "probe_factor": round(factor, 4),
+        "normalized_score": round(moves_per_sec / factor * SCORE_SCALE_S, 3),
         "fully_routed": result.fully_routed,
         "worst_delay_ns": result.worst_delay,
         "audit_clean": annealer.audit() == [],
     }
-    if result.profile is not None:
-        prof = result.profile.as_dict()
-        record["profile"] = prof
-        record["phases"] = _phase_breakdown(prof, wall)
     if result.trace is not None:
         record["trace_events"] = len(result.trace.events)
     return record
@@ -306,8 +272,7 @@ def overhead_gates(args: argparse.Namespace, case: BenchCase,
 
 
 def measure_overhead(
-    case: BenchCase, calibration_s: float, baseline: dict,
-    gate: OverheadGate, reps: int = 3,
+    case: BenchCase, baseline: dict, gate: OverheadGate, reps: int = 3,
 ) -> dict:
     """Re-run one case with ``gate``'s facility on; compare to reference.
 
@@ -326,11 +291,11 @@ def measure_overhead(
     best_ref = None if gate.traced_reference else baseline
     best: Optional[dict] = None
     for _ in range(reps):
-        ref = run_case(case, calibration_s, profile=False, **reference_run)
+        ref = run_case(case, **reference_run)
         if (best_ref is None
                 or ref["normalized_score"] > best_ref["normalized_score"]):
             best_ref = ref
-        run = run_case(case, calibration_s, profile=False, **gate.run)
+        run = run_case(case, **gate.run)
         if best is None or run["normalized_score"] > best["normalized_score"]:
             best = run
     assert best is not None and best_ref is not None
@@ -354,13 +319,13 @@ def case_ledger_record(
 ) -> dict:
     """One run-ledger record summarizing a finished bench case.
 
-    Carries the calibration-normalized score and every measured
+    Carries the probe-normalized score and every measured
     instrumentation overhead, so ``repro-fpga runs regress`` can gate
     ledger slices the same way the bench gates BENCH_moves.json.
     """
     from repro.obs.ledger import config_identity, make_record
 
-    config = _config(case, profile=False)
+    config = _config(case)
     overheads = {
         kind: record[kind]
         for kind in ("tracing", "snapshotting", "checkpointing", "ledger",
@@ -379,7 +344,6 @@ def case_ledger_record(
         moves_per_sec=record["moves_per_sec"],
         normalized_score=record["normalized_score"],
         overheads=overheads or None,
-        profile=record.get("profile"),
         tag=tag,
     )
 
@@ -432,11 +396,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument(
         "--smoke", action="store_true",
         help="run only the cut-down smoke case (CI-sized)",
-    )
-    parser.add_argument(
-        "--profile", action="store_true",
-        help="attach per-phase profiles and timing breakdowns to the "
-        "JSON records",
     )
     parser.add_argument(
         "--output", default="BENCH_moves.json",
@@ -523,16 +482,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     names = args.designs or (
         ["smoke"] if args.smoke else ["small", "medium", "large"]
     )
-    calibration_s = calibrate()
-    report = {
-        "schema": "bench-moves/1",
-        "calibration_s": round(calibration_s, 5),
-        "designs": {},
-    }
+    report = {"schema": "bench-moves/2", "designs": {}}
     ok = True
     for name in names:
         case = CASES[name]
-        record = run_case(case, calibration_s, args.profile)
+        record = run_case(case)
         # Host jitter is roughly constant in absolute terms (~0.1 s a
         # run), so the overhead gates on short anneals are noise-
         # dominated: give them extra best-of pairs.  Long cases are
@@ -542,7 +496,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(
             f"{name}: {record['moves_attempted']} moves in "
             f"{record['wall_time_s']:.2f}s -> {record['moves_per_sec']:.1f} "
-            f"moves/s (score {record['normalized_score']:.3f}, "
+            f"moves/s (host factor {record['probe_factor']:.3f}, "
+            f"score {record['normalized_score']:.3f}, "
             f"routed={record['fully_routed']})"
         )
         if not record["audit_clean"]:
@@ -551,7 +506,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         with tempfile.TemporaryDirectory(prefix="bench-overhead-") as tmp:
             for gate in overhead_gates(args, case, Path(tmp)):
                 measured = measure_overhead(
-                    case, calibration_s, record, gate, reps=overhead_reps,
+                    case, record, gate, reps=overhead_reps,
                 )
                 record[gate.key] = measured
                 events = (

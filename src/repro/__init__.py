@@ -63,14 +63,12 @@ from .flows import (
     timing_improvement_percent,
 )
 from .obs import (
-    Instrumentation,
     MetricsRegistry,
     RunTrace,
     Tracer,
     maybe_tracer,
     read_trace,
 )
-from .perf import Profiler, RunProfile, maybe_profiler
 from .netlist import (
     CircuitSpec,
     Netlist,
@@ -96,12 +94,9 @@ __all__ = [
     "Fabric",
     "FabricSpec",
     "FlowResult",
-    "Instrumentation",
     "MetricsRegistry",
     "Netlist",
     "PAPER_SPECS",
-    "Profiler",
-    "RunProfile",
     "RunTrace",
     "Tracer",
     "ScheduleConfig",
@@ -122,7 +117,6 @@ __all__ = [
     "format_table",
     "generate",
     "kway_partition",
-    "maybe_profiler",
     "maybe_tracer",
     "min_tracks_for_routing",
     "paper_benchmark",

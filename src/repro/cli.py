@@ -88,14 +88,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
     arch = architecture_for(netlist, tracks_per_channel=args.tracks)
     sim_cfg, seq_cfg = _configs(args.effort, args.seed)
     # The instrumentation flags compose freely: any subset of
-    # --profile / --trace / --sanitize / --heartbeat can ride on one
-    # run, all wired through the shared Instrumentation hook point in
-    # the annealer.
+    # --trace / --sanitize / --heartbeat can ride on one run.
     overrides: dict = {}
     if args.sanitize:
         overrides["sanitize"] = True
-    if args.profile:
-        overrides["profile"] = True
     if args.trace is not None:
         overrides["trace"] = True
     if args.heartbeat is not None:
@@ -163,7 +159,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             "checkpoint_path", "checkpoint_every", "max_seconds",
             "max_stages", "max_moves", "handle_signals",
         )
-        for flag in ("sanitize", "profile", "snapshot_every"):
+        for flag in ("sanitize", "snapshot_every"):
             if overrides.pop(flag, False):
                 name = flag.replace("_", "-")
                 console.note(f"note: --{name} only instruments the "
@@ -190,9 +186,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         if checkpoint:
             console.note(f"resume with: repro-fpga run {args.design} "
                          f"--resume {checkpoint}")
-    profile = result.extra.get("profile") if result.extra else None
-    if profile is not None:
-        print(profile.format())
     trace = result.extra.get("trace") if result.extra else None
     if trace is not None and args.trace is not None:
         trace.write_jsonl(args.trace)
@@ -314,11 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_run)
     p_run.add_argument(
         "--flow", choices=("sequential", "simultaneous"), default="simultaneous"
-    )
-    p_run.add_argument(
-        "--profile", action="store_true",
-        help="collect and print per-phase hot-loop timings "
-        "(moves/sec, rip-up vs repair vs timing vs cost)",
     )
     p_run.add_argument(
         "--sanitize", action="store_true",

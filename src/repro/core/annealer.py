@@ -22,19 +22,18 @@ import random
 import statistics
 import time
 from dataclasses import dataclass, field
-from time import perf_counter
 from typing import Optional
 
 from ..arch.presets import Architecture
 from ..arch.technology import Technology
 from ..netlist.netlist import Netlist
-from ..obs import Instrumentation, RunTrace, build_manifest
-from ..perf import RunProfile
+from ..obs import RunTrace, build_manifest, maybe_tracer
+from ..obs.live import maybe_heartbeat
 from ..place.initial import clustered_placement, random_placement
 from ..place.placement import Placement
 from ..route.channel_router import DEFAULT_SEGMENT_WEIGHT
 from ..route.incremental import IncrementalRouter
-from ..lint.runtime import SanitizerError, check_all
+from ..lint.runtime import MoveSanitizer, SanitizerError, check_all
 from ..route.state import RoutingState
 from ..timing.incremental import IncrementalTiming
 from .cost import CostEvaluator, CostTerms, CostWeights, TermAccumulator
@@ -65,10 +64,6 @@ class AnnealerConfig:
     #: direction): fraction of swap proposals drawn from the current
     #: near-zero-slack cells instead of uniformly.  0 disables.
     critical_bias: float = 0.0
-    #: Collect per-phase timings and counters into ``AnnealResult.profile``.
-    #: Never affects results: identical seeds give identical metrics
-    #: with profiling on or off.
-    profile: bool = False
     #: Runtime sanitizer: after every move transaction, cross-check
     #: rollback completeness, negative-cache coherence, and the full
     #: invariant audit (see :mod:`repro.lint.runtime`).  Slow but
@@ -203,8 +198,6 @@ class AnnealResult:
     moves_accepted: int
     temperatures: int
     wall_time_s: float
-    #: Per-phase timings/counters; present only when profiling was on.
-    profile: Optional[RunProfile] = None
     #: Structured event trace; present only when tracing was on.
     trace: Optional[RunTrace] = None
     #: Why the run stopped early ("signal SIGINT", "stage budget (40)",
@@ -256,13 +249,19 @@ class SimultaneousAnnealer:
         self.config = config or AnnealerConfig()
         self.rng = random.Random(self.config.seed)
 
-        # One shared hook point builds every requested observability
-        # facility (--profile / --trace / --sanitize) together.
-        self.instrumentation = Instrumentation.from_config(self.config)
-        self.profiler = self.instrumentation.profiler
-        self.tracer = self.instrumentation.tracer
-        self.sanitizer = self.instrumentation.sanitizer
-        metrics = self.instrumentation.metrics
+        # Observability hooks, each None unless requested (guarded
+        # probes); none of them may perturb the trajectory.
+        self.tracer = maybe_tracer(
+            self.config.trace, stream_path=self.config.trace_stream
+        )
+        self.sanitizer = (
+            MoveSanitizer(self.config.sanitize_every)
+            if self.config.sanitize else None
+        )
+        self.heartbeat = maybe_heartbeat(
+            self.config.heartbeat_path, self.config.heartbeat_min_interval_s
+        )
+        metrics = self.tracer.metrics if self.tracer is not None else None
 
         fabric = architecture.build()
         if self.config.initial == "clustered":
@@ -276,7 +275,7 @@ class SimultaneousAnnealer:
         timing = IncrementalTiming(state, self.technology)
         timing.metrics = metrics
         self.ctx = LayoutContext(placement, state, router, timing,
-                                 profiler=self.profiler, metrics=metrics)
+                                 metrics=metrics)
         self.weights = CostWeights(
             self.config.importance_global,
             self.config.importance_detail,
@@ -567,8 +566,8 @@ class SimultaneousAnnealer:
 
     def _checkpoint_if_due(self) -> None:
         """Periodic checkpoint at the cadence the config asked for."""
-        every = self.instrumentation.checkpoint_every
-        path = self.instrumentation.checkpoint_path
+        every = self.config.checkpoint_every
+        path = self.config.checkpoint_path
         if every > 0 and path is not None and self._stage_index % every == 0:
             self._write_checkpoint(path)
 
@@ -586,7 +585,7 @@ class SimultaneousAnnealer:
         anneal trajectory is untouched (the determinism golden test
         and the bench bit-identity gate both pin this).
         """
-        hb = self.instrumentation.heartbeat
+        hb = self.heartbeat
         if hb is None or not (force or hb.due()):
             return
         elapsed = time.perf_counter() - self._run_started
@@ -657,13 +656,8 @@ class SimultaneousAnnealer:
         sanitizer = self.sanitizer
         before = sanitizer.capture(self.ctx) if sanitizer is not None else None
         record = apply_move(self.ctx, move)
-        prof = self.profiler
-        if prof is not None:
-            t0 = perf_counter()
         new_terms = self.evaluator.terms()
         delta = self.weights.scalar(new_terms) - self.weights.scalar(current)
-        if prof is not None:
-            prof.add_time("cost", perf_counter() - t0)
         if delta <= 0:
             accept = True
         elif temperature <= 0:
@@ -748,8 +742,8 @@ class SimultaneousAnnealer:
                 # the early-exit decision above already happened, so a
                 # resume from this checkpoint repeats exactly the rounds
                 # the uninterrupted run would have run.
-                every = self.instrumentation.checkpoint_every
-                path = self.instrumentation.checkpoint_path
+                every = self.config.checkpoint_every
+                path = self.config.checkpoint_path
                 if every > 0 and path is not None:
                     self._write_checkpoint(path)
         return current, None
@@ -816,7 +810,7 @@ class SimultaneousAnnealer:
             # must be written before any best-so-far restore below —
             # resuming from it continues the interrupted walk
             # bit-exactly, wherever the best happened to be.
-            final_path = self.instrumentation.checkpoint_path
+            final_path = self.config.checkpoint_path
             if final_path is not None:
                 self._write_checkpoint(final_path)
 
@@ -828,7 +822,7 @@ class SimultaneousAnnealer:
                 current = self.evaluator.terms()
 
         wall_time = time.perf_counter() - started
-        if self.instrumentation.heartbeat is not None:
+        if self.heartbeat is not None:
             # Terminal beat: always forced so watchers (and the watch
             # --gate watchdog) see the final status even on short runs.
             self._beat(
@@ -837,14 +831,9 @@ class SimultaneousAnnealer:
                         else f"interrupted: {stop_reason}"),
                 force=True,
             )
-        profile = None
-        if self.profiler is not None:
-            profile = self.profiler.finish(
-                wall_time, self._attempted, self._accepted
-            )
         trace = None
         if tracer is not None:
-            if self.instrumentation.snapshot_every > 0:
+            if self.config.snapshot_every > 0:
                 from ..obs.snapshot import capture_snapshot
 
                 tracer.snapshot(
@@ -881,7 +870,6 @@ class SimultaneousAnnealer:
             moves_accepted=self._accepted,
             temperatures=self.schedule.temperatures_done,
             wall_time_s=wall_time,
-            profile=profile,
             trace=trace,
             interrupted=stop_reason,
             checkpoint_path=self._last_checkpoint,
@@ -908,7 +896,7 @@ class SimultaneousAnnealer:
         costs: list[float] = []
         perturbed_cells: set[int] = set()
         accepted_here = 0
-        hb = self.instrumentation.heartbeat
+        hb = self.heartbeat
         for attempt_index in range(attempts_per_temp):
             accepted, current, cells_touched = self._attempt(
                 temperature, current
@@ -959,7 +947,7 @@ class SimultaneousAnnealer:
                 window=self.moves.window,
                 calm_streak=self.schedule.calm_streak,
             )
-            every = self.instrumentation.snapshot_every
+            every = self.config.snapshot_every
             if every > 0 and stage_index % every == 0:
                 # Imported lazily: repro.obs.snapshot pulls the
                 # route/timing layers, which must not load as a side

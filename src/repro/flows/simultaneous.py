@@ -7,7 +7,6 @@ sequential baseline, so Table-1 comparisons are apples to apples.
 
 from __future__ import annotations
 
-import dataclasses
 import time
 from typing import Optional
 
@@ -22,18 +21,12 @@ def run_simultaneous(
     netlist: Netlist,
     architecture: Architecture,
     config: Optional[AnnealerConfig] = None,
-    profile: Optional[bool] = None,
-    trace: Optional[bool] = None,
     resume_from: Optional[dict] = None,
 ) -> FlowResult:
     """Run the simultaneous flow end to end.
 
-    ``profile`` / ``trace`` override the matching config flags when
-    given — this is the instrumentation entry point the CLI and the
-    benchmark harnesses share.  The run's
-    :class:`~repro.perf.RunProfile` rides in ``extra["profile"]`` and
-    its :class:`~repro.obs.RunTrace` in ``extra["trace"]`` (None when
-    the facility is off).
+    The run's :class:`~repro.obs.RunTrace` rides in ``extra["trace"]``
+    (None unless ``config.trace`` is set).
 
     ``resume_from`` is a verified checkpoint payload (see
     :func:`repro.resilience.read_checkpoint`): the anneal continues the
@@ -44,13 +37,6 @@ def run_simultaneous(
     ``extra["checkpoint"]``.
     """
     started = time.perf_counter()
-    overrides = {}
-    if profile is not None:
-        overrides["profile"] = profile
-    if trace is not None:
-        overrides["trace"] = trace
-    if overrides:
-        config = dataclasses.replace(config or AnnealerConfig(), **overrides)
     annealer = SimultaneousAnnealer(
         netlist, architecture, config, resume_from=resume_from
     )
@@ -75,7 +61,6 @@ def run_simultaneous(
             "moves_accepted": result.moves_accepted,
             "temperatures": result.temperatures,
             "internal_worst_delay": result.worst_delay,
-            "profile": result.profile,
             "trace": result.trace,
             "interrupted": result.interrupted,
             "checkpoint": result.checkpoint_path,

@@ -3,9 +3,7 @@
 Three cooperating pieces (see docs/OBSERVABILITY.md):
 
 * :mod:`repro.obs.tracer` — the event tracer the annealer, transaction
-  layer, routers, and timing engine emit structured events into, plus
-  :class:`Instrumentation`, the single hook point that builds the
-  profiler/tracer/sanitizer bundle from a config;
+  layer, routers, and timing engine emit structured events into;
 * :mod:`repro.obs.metrics` — counters/gauges/histograms with explicit
   snapshots, safe to probe from hot loops under an ``is not None``
   guard;
@@ -45,10 +43,8 @@ from .metrics import (
     Histogram,
     MetricsRegistry,
     counter_delta,
-    maybe_metrics,
 )
 from .tracer import (
-    Instrumentation,
     Tracer,
     build_manifest,
     config_digest,
@@ -132,8 +128,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "counter_delta",
-    "maybe_metrics",
-    "Instrumentation",
     "Tracer",
     "build_manifest",
     "config_digest",

@@ -15,7 +15,7 @@ Record identity
 flow, design, netlist stats, seed, config digests, final cost terms,
 routedness, and move counts.  Wall-clock-derived telemetry
 (``wall_time_s``, ``moves_per_sec``, ``normalized_score``, overhead
-ratios, per-section profiles), artifact paths, and user tags are
+ratios), artifact paths, and user tags are
 :data:`VOLATILE_FIELDS`, deliberately outside the digest: two runs of
 the same code with the same seed produce the *same* identity no matter
 how slow the host was, or where its artifacts landed
@@ -58,6 +58,8 @@ VOLATILE_FIELDS = (
     "moves_per_sec",
     "normalized_score",
     "overheads",
+    # Written only by older versions (the retired in-program profiler);
+    # kept so those records keep their record_digest.
     "profile",
     "artifacts",
     "tag",
@@ -132,7 +134,6 @@ def make_record(
     moves_per_sec: Optional[float] = None,
     normalized_score: Optional[float] = None,
     overheads: Optional[dict] = None,
-    profile: Optional[dict] = None,
     artifacts: Optional[dict] = None,
     tag: str = "",
 ) -> dict:
@@ -163,7 +164,6 @@ def make_record(
         ("moves_per_sec", moves_per_sec),
         ("normalized_score", normalized_score),
         ("overheads", overheads),
-        ("profile", profile),
         ("artifacts", artifacts),
     )
     for name, value in optional:
@@ -216,7 +216,6 @@ def record_from_result(
     moves_per_sec = None
     if moves_attempted and wall and wall > 0:
         moves_per_sec = round(moves_attempted / wall, 1)
-    profile = extra.get("profile")
     netlist_stats = extra.get("netlist")
     return make_record(
         flow=result.flow,
@@ -235,7 +234,6 @@ def record_from_result(
         wall_time_s=round(wall, 4) if wall is not None else None,
         moves_per_sec=moves_per_sec,
         normalized_score=normalized_score,
-        profile=profile.as_dict() if profile is not None else None,
         artifacts=artifacts or None,
         tag=tag,
     )
@@ -313,7 +311,7 @@ def slice_stats(records: list[dict]) -> dict:
     """Aggregate QoR/throughput statistics over one record slice.
 
     ``delay_*`` summarize ``worst_delay_ns`` across the slice (the
-    per-seed variance view); ``best_score`` is the best calibration-
+    per-seed variance view); ``best_score`` is the best host-
     normalized throughput, matching the bench gate's best-of
     convention.
     """
@@ -366,7 +364,7 @@ def regress_slices(
     three axes, mirroring the standing benchmark gates:
 
     * **normalized_score** — best-of throughput may not regress by more
-      than ``max_score_regression`` (calibration-normalized, so the
+      than ``max_score_regression`` (host-normalized, so the
       comparison transfers across hosts);
     * **worst_delay_ns** — mean QoR may not worsen by more than
       ``max_delay_regression``;

@@ -1,9 +1,8 @@
 """Lightweight metrics registry: counters, gauges, histograms.
 
 The registry is the *numeric* half of the observability layer (the
-tracer in :mod:`repro.obs.tracer` is the *event* half).  Hot paths that
-already carry a guarded profiler probe can carry a guarded metrics
-probe under the same pattern::
+tracer in :mod:`repro.obs.tracer` is the *event* half, and owns the
+registry).  Hot paths probe it behind one guard::
 
     mx = self.metrics            # None unless tracing was requested
     if mx is not None:
@@ -13,9 +12,10 @@ Two hard rules keep instrumented runs bit-identical to plain runs
 (the PR 2 sanitizer contract):
 
 * **no wall-clock reads** — nothing in this module ever touches a
-  timer; durations belong to :mod:`repro.perf`, which is explicitly
-  telemetry-only.  All values recorded here are already-computed
-  integers/floats of the run itself;
+  timer; per-layer wall time is measured from outside the program, by
+  the flow benchmark's spans (``flowbench/run.py --trace 1``).  All
+  values recorded here are already-computed integers/floats of the
+  run itself;
 * **no RNG, no layout state** — recording is pure accumulation into
   plain dicts and lists.
 
@@ -177,8 +177,3 @@ def counter_delta(before: dict, after: dict) -> dict[str, int]:
         for name, value in sorted(new.items())
         if value != old.get(name, 0)
     }
-
-
-def maybe_metrics(enabled: bool) -> Optional[MetricsRegistry]:
-    """Registry when enabled, None otherwise (guarded-probe pattern)."""
-    return MetricsRegistry() if enabled else None

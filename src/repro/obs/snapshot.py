@@ -14,9 +14,8 @@ cost moves, a snapshot explains *where* on the fabric it comes from:
 
 Snapshots are schema-versioned (:data:`SNAPSHOT_SCHEMA_VERSION`),
 capturable standalone (:func:`capture_snapshot`), at stage boundaries
-through the :class:`~repro.obs.tracer.Instrumentation` hook
-(``--trace --snapshot-every N`` emits ``snapshot`` events into the
-JSONL trace), and at flow end
+of a traced anneal (``--trace --snapshot-every N`` emits ``snapshot``
+events into the JSONL trace), and at flow end
 (:func:`repro.flows.capture_flow_snapshot`).  Like the tracer, capture
 reads no wall clock, consumes no RNG, and mutates no layout or engine
 state — snapshotted runs are bit-identical to plain runs.

@@ -1,19 +1,13 @@
-"""The event tracer and the shared instrumentation hook point.
+"""The event tracer.
 
 :class:`Tracer` is the event half of the observability layer.  It
-follows the same guarded-probe discipline as :class:`repro.perf.Profiler`:
-when tracing is off the hot loop pays one ``is not None`` test per
-probe site and nothing else; when it is on, recording is append-only
-accumulation of already-computed values — no wall-clock reads, no RNG,
-no layout state — so a traced run is bit-identical to an untraced run
-with the same seed (``tests/test_obs.py`` guards this).
-
-:class:`Instrumentation` is the one place the three observability
-facilities (``--profile``, ``--trace``, ``--sanitize``) are
-constructed from an :class:`~repro.core.AnnealerConfig`-shaped config.
-The annealer asks it for everything instead of growing three
-independent wiring paths; anything new (a future ``--debug``?) plugs
-in here.
+follows the guarded-probe discipline: when tracing is off the hot loop
+pays one ``is not None`` test per probe site and nothing else; when it
+is on, recording is append-only accumulation of already-computed
+values — no wall-clock reads, no RNG, no layout state — so a traced
+run is bit-identical to an untraced run with the same seed
+(``tests/test_obs.py`` guards this).  Each flow builds its tracer with
+:func:`maybe_tracer` from its own config.
 """
 
 from __future__ import annotations
@@ -23,7 +17,6 @@ import hashlib
 import json
 from typing import Any, Optional
 
-from ..perf import Profiler, maybe_profiler
 from ..resilience import jsonl
 from .events import TRACE_SCHEMA_VERSION, RunTrace
 from .metrics import MetricsRegistry, counter_delta
@@ -31,8 +24,8 @@ from .metrics import MetricsRegistry, counter_delta
 
 #: Config fields that do not shape the annealing trajectory: the
 #: resilience knobs (budgets, checkpoint cadence, signal handling) and
-#: the instrumentation flags (profiling, tracing, heartbeats,
-#: sanitizing, and snapshotting are all proven bit-identical).
+#: the instrumentation flags (tracing, heartbeats, sanitizing, and
+#: snapshotting are all proven bit-identical).
 #: :func:`trajectory_digest` drops them, and so does the ledger's
 #: family digest (which also drops the seed).
 NON_IDENTITY_FIELDS = (
@@ -42,7 +35,6 @@ NON_IDENTITY_FIELDS = (
     "max_stages",
     "max_moves",
     "handle_signals",
-    "profile",
     "trace",
     "trace_stream",
     "heartbeat_path",
@@ -227,83 +219,3 @@ def maybe_tracer(
     """Tracer when enabled, None otherwise (guarded-probe pattern)."""
     return Tracer(stream_path=stream_path) if enabled else None
 
-
-@dataclasses.dataclass
-class Instrumentation:
-    """The bundle of per-run observability hooks, built in one place.
-
-    ``profiler`` times hot-loop sections (:mod:`repro.perf`);
-    ``tracer`` records structured events and owns the metrics registry;
-    ``sanitizer`` cross-checks move-transaction invariants
-    (:mod:`repro.lint.runtime`).  All three are optional and mutually
-    composable — any subset can be on, and none of them may perturb
-    the run's results.
-    """
-
-    profiler: Optional[Profiler] = None
-    tracer: Optional[Tracer] = None
-    sanitizer: Optional[Any] = None
-    #: Live heartbeat sidecar writer (see :mod:`repro.obs.live`);
-    #: None when ``config.heartbeat_path`` is unset.  Like the others,
-    #: it never perturbs results: telemetry is a pure read and the
-    #: writer touches only monotonic clocks.
-    heartbeat: Optional[Any] = None
-    #: Emit a layout ``snapshot`` event every N stages (0 = never).
-    #: Only meaningful when ``tracer`` is present.
-    snapshot_every: int = 0
-    #: Write a resumable checkpoint every N stages (0 = only the final
-    #: one); requires ``checkpoint_path`` (see :mod:`repro.resilience`).
-    checkpoint_every: int = 0
-    #: Destination for periodic and final checkpoints (None = none).
-    checkpoint_path: Optional[str] = None
-
-    @property
-    def metrics(self) -> Optional[MetricsRegistry]:
-        """The tracer's metrics registry (None when tracing is off)."""
-        return self.tracer.metrics if self.tracer is not None else None
-
-    @classmethod
-    def from_config(cls, config: Any) -> "Instrumentation":
-        """Build every requested hook from one annealer-style config.
-
-        Reads ``config.profile``, ``config.trace``, ``config.sanitize``,
-        ``config.sanitize_every``, ``config.snapshot_every``,
-        ``config.checkpoint_every``, ``config.checkpoint_path``,
-        ``config.trace_stream``, ``config.heartbeat_path`` and
-        ``config.heartbeat_min_interval_s`` (each optional, default
-        off) — the single shared wiring point behind ``--profile``,
-        ``--trace``, ``--sanitize``, ``--snapshot-every``,
-        ``--checkpoint`` and ``--heartbeat``.
-        """
-        sanitizer = None
-        if getattr(config, "sanitize", False):
-            from ..lint.runtime import MoveSanitizer
-
-            sanitizer = MoveSanitizer(getattr(config, "sanitize_every", 1))
-        heartbeat = None
-        heartbeat_path = getattr(config, "heartbeat_path", None)
-        if heartbeat_path is not None:
-            from .live import HeartbeatWriter
-
-            heartbeat = HeartbeatWriter(
-                heartbeat_path,
-                float(getattr(config, "heartbeat_min_interval_s", 2.0)),
-            )
-        checkpoint_path = getattr(config, "checkpoint_path", None)
-        stream_path = getattr(config, "trace_stream", None)
-        return cls(
-            profiler=maybe_profiler(getattr(config, "profile", False)),
-            tracer=maybe_tracer(
-                getattr(config, "trace", False),
-                stream_path=(
-                    str(stream_path) if stream_path is not None else None
-                ),
-            ),
-            sanitizer=sanitizer,
-            heartbeat=heartbeat,
-            snapshot_every=int(getattr(config, "snapshot_every", 0) or 0),
-            checkpoint_every=int(getattr(config, "checkpoint_every", 0) or 0),
-            checkpoint_path=(
-                str(checkpoint_path) if checkpoint_path is not None else None
-            ),
-        )

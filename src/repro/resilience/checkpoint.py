@@ -62,10 +62,11 @@ CHECKPOINT_KIND = "repro-anneal-checkpoint"
 
 #: Config keys that earlier versions wrote and the current
 #: ``AnnealerConfig`` no longer has: the switches that selected the
-#: retired object-graph move core and exhaustive repair.  Both were
-#: proven bit-identical to the one remaining core, so old checkpoints
-#: resume with the keys dropped.
-RETIRED_CONFIG_FIELDS = ("array_core", "fast_path")
+#: retired object-graph move core and exhaustive repair, and the
+#: retired in-program profiler switch.  All were proven bit-identical
+#: (the cores to the one remaining core, profiling to a plain run), so
+#: old checkpoints resume with the keys dropped.
+RETIRED_CONFIG_FIELDS = ("array_core", "fast_path", "profile")
 
 #: Annealer phases a checkpoint may record.
 PHASES = ("anneal", "greedy", "done")

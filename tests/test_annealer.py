@@ -4,6 +4,8 @@ These are the heaviest tests in the suite; they run the full engine on
 small circuits with reduced-effort configs.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.core import (
@@ -92,6 +94,21 @@ class TestRun:
         assert result.worst_delay == pytest.approx(
             result.timing.worst_delay()
         )
+
+    def test_routing_state_consistent(self):
+        # An 8-temperature schedule also ends fully routed and clean.
+        netlist = tiny(seed=4, num_cells=32, depth=4)
+        arch = architecture_for(netlist, tracks=10, vtracks=5)
+        config = dataclasses.replace(
+            micro_config(seed=3),
+            schedule=ScheduleConfig(
+                lambda_=2.0, max_temperatures=8, freeze_patience=2
+            ),
+        )
+        annealer = SimultaneousAnnealer(netlist, arch, config)
+        result = annealer.run()
+        assert annealer.audit() == []
+        assert result.fully_routed
 
 
 class TestDeterminism:

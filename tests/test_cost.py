@@ -75,6 +75,20 @@ class TestTermAccumulator:
         assert acc.mean_terms() == CostTerms(0, 0, 0.0)
 
 
+class TestMeanTermsExactness:
+    def test_mean_terms_keeps_fractional_unrouted_counts(self):
+        # Regression: int() truncation of the unrouted means silently
+        # biased weight recalibration (3 samples averaging 1.67 -> 1).
+        acc = TermAccumulator()
+        acc.add(CostTerms(1, 2, 1.0))
+        acc.add(CostTerms(2, 3, 2.0))
+        acc.add(CostTerms(2, 0, 3.0))
+        mean = acc.mean_terms()
+        assert mean.global_unrouted == pytest.approx(5 / 3)
+        assert mean.detail_unrouted == pytest.approx(5 / 3)
+        assert mean.worst_delay == pytest.approx(2.0)
+
+
 class TestCostEvaluator:
     def test_reads_live_state(self, tiny_netlist, tiny_arch, tech, rng):
         placement = clustered_placement(tiny_netlist, tiny_arch.build(), rng)

@@ -83,11 +83,14 @@ class TestRecordIdentity:
     def test_volatile_fields_stay_outside_identity(self):
         slow = basic_record(wall_time_s=99.0, moves_per_sec=10.1,
                             normalized_score=1.0, tag="slow-host",
-                            profile={"section_s": {"ripup": 9.0}},
                             artifacts={"trace": "elsewhere.jsonl"},
                             overheads={"tracing": {"overhead_frac": 0.5}})
+        # Older versions also wrote an in-program profiler's "profile"
+        # block; make_record no longer takes one.
+        slow["profile"] = {"section_s": {"ripup": 9.0}}
         fast = basic_record(wall_time_s=0.1, moves_per_sec=9999.0)
         assert slow["record_digest"] == fast["record_digest"]
+        assert record_identity(slow) == fast["record_digest"]
 
     def test_identity_fields_change_the_digest(self):
         base = basic_record()
@@ -406,6 +409,30 @@ class TestRunsCli:
         ]) == RUNS_EXIT_OK
         assert html.read_text(encoding="utf-8") == \
             GOLDEN.read_text(encoding="utf-8")
+
+    def test_records_with_retired_profile_block_still_read(
+        self, tmp_path, capsys
+    ):
+        # Records written with the retired in-program profiler carry a
+        # "profile" block; their stored digests still verify, and they
+        # list and compare like the same records without it.
+        profile = {
+            "wall_time_s": 1.26, "moves_attempted": 2669,
+            "section_s": {"ripup": 0.256, "repair": 0.345},
+            "section_calls": {"ripup": 2669, "repair": 2669},
+            "counters": {"moves": 2669, "nets_journaled": 13124},
+        }
+        old = tmp_path / "old.jsonl"
+        for record in read_ledger(FIXTURE).records:
+            record = dict(record, profile=profile)
+            assert record_identity(record) == record["record_digest"]
+            append_record(old, record)
+        for trace in DATA.glob("ledger_trace_seed*.jsonl"):
+            (tmp_path / trace.name).write_bytes(trace.read_bytes())
+        assert runs_main(["list", str(old)]) == RUNS_EXIT_OK
+        assert "3 records" in capsys.readouterr().out
+        assert runs_main(["compare", str(old)]) == RUNS_EXIT_OK
+        assert "2 with traces" in capsys.readouterr().out
 
     def test_regress_requires_a_baseline(self, capsys):
         code = runs_main(["regress", str(FIXTURE)])

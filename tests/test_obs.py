@@ -27,13 +27,11 @@ from repro.netlist import tiny
 from repro.obs import (
     HISTOGRAM_BOUNDS,
     Histogram,
-    Instrumentation,
     MetricsRegistry,
     RunTrace,
     TRACE_SCHEMA_VERSION,
     Tracer,
     counter_delta,
-    maybe_metrics,
     maybe_tracer,
     read_trace,
     reconstructed_cost,
@@ -41,6 +39,7 @@ from repro.obs import (
     validate_events,
 )
 from repro.obs.cli import main as trace_main
+from repro.obs.live import HeartbeatWriter
 
 from conftest import architecture_for
 
@@ -102,10 +101,6 @@ class TestMetricsRegistry:
         mx.count("busy", 3)
         delta = counter_delta(before, mx.snapshot())
         assert delta == {"busy": 3}
-
-    def test_maybe_metrics(self):
-        assert maybe_metrics(False) is None
-        assert isinstance(maybe_metrics(True), MetricsRegistry)
 
 
 class TestHistogram:
@@ -253,21 +248,26 @@ class TestTracer:
         tracer.emit("note", message="late")
         assert len(trace.events) == 1
 
-    def test_instrumentation_from_config(self):
-        inst = Instrumentation.from_config(
-            micro_config(trace=True, profile=True, sanitize=True)
-        )
-        assert isinstance(inst.tracer, Tracer)
-        assert inst.profiler is not None
-        assert isinstance(inst.sanitizer, MoveSanitizer)
-        assert inst.metrics is inst.tracer.metrics
 
-    def test_instrumentation_all_off_by_default(self):
-        inst = Instrumentation.from_config(micro_config())
-        assert inst.profiler is None
-        assert inst.tracer is None
-        assert inst.sanitizer is None
-        assert inst.metrics is None
+class TestAnnealerProbes:
+    def test_each_probe_is_built_only_when_requested(self, tmp_path):
+        netlist = tiny(seed=4, num_cells=32, depth=4)
+        arch = architecture_for(netlist, tracks=10, vtracks=5)
+        plain = SimultaneousAnnealer(netlist, arch, micro_config())
+        assert plain.tracer is None
+        assert plain.sanitizer is None
+        assert plain.heartbeat is None
+        assert plain.ctx.metrics is None
+        probed = SimultaneousAnnealer(netlist, arch, micro_config(
+            trace=True, sanitize=True,
+            heartbeat_path=str(tmp_path / "run.hb"),
+        ))
+        assert isinstance(probed.tracer, Tracer)
+        assert isinstance(probed.sanitizer, MoveSanitizer)
+        assert isinstance(probed.heartbeat, HeartbeatWriter)
+        assert probed.ctx.metrics is probed.tracer.metrics
+        assert probed.ctx.router.metrics is probed.tracer.metrics
+        assert probed.ctx.timing.metrics is probed.tracer.metrics
 
 
 def valid_events():
@@ -396,12 +396,15 @@ class TestTracedAnneal:
         _, traced = run_anneal(trace=True)
         assert comparable_metrics(plain) == comparable_metrics(traced)
 
-    def test_all_three_instruments_compose_without_perturbing(self):
+    def test_all_three_instruments_compose_without_perturbing(self, tmp_path):
         _, plain = run_anneal()
-        _, instrumented = run_anneal(trace=True, profile=True, sanitize=True)
+        heartbeat = tmp_path / "run.hb"
+        _, instrumented = run_anneal(
+            trace=True, sanitize=True, heartbeat_path=str(heartbeat)
+        )
         assert comparable_metrics(plain) == comparable_metrics(instrumented)
         assert instrumented.trace is not None
-        assert instrumented.profile is not None
+        assert heartbeat.exists()
 
     def test_stage_metrics_expose_repair_counters(self, traced_outcome):
         _, result = traced_outcome

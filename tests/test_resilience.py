@@ -178,7 +178,7 @@ class TestCheckpointFormat:
         base = micro_config()
         relaxed = dataclasses.replace(
             base, max_stages=7, checkpoint_every=2, checkpoint_path="x.ckpt",
-            trace=True, profile=True, handle_signals=True,
+            trace=True, handle_signals=True,
         )
         changed = dataclasses.replace(base, attempts_per_cell=5)
         reseeded = dataclasses.replace(base, seed=99)
@@ -311,6 +311,32 @@ class TestResumeDeterminism:
         netlist, arch = make_design()
         resumed = SimultaneousAnnealer.resume(
             netlist, arch, path, config=micro_config()
+        ).run()
+        assert resumed.interrupted is None
+        assert comparable_metrics(resumed) == comparable_metrics(reference)
+        assert layout_digest(resumed) == layout_digest(reference)
+
+    def test_checkpoint_with_retired_profile_key_resumes(self, tmp_path):
+        # A checkpoint written with the retired in-program profiler on:
+        # the config record carries "profile": true.  The stored resume
+        # digest already excluded it (profiling never shaped the
+        # trajectory), so it stays as written.
+        _, reference = run_anneal(micro_config())
+        path = tmp_path / "profiled.ckpt"
+        _, partial = run_anneal(micro_config(
+            checkpoint_path=str(path), checkpoint_every=1, max_stages=3,
+        ))
+        assert partial.interrupted is not None
+        payload = read_checkpoint(path)
+        payload["config"] = {**payload["config"], "profile": True}
+        write_checkpoint(payload, path)  # reseals the envelope digest
+
+        restored = config_from_payload(read_checkpoint(path))
+        assert resume_digest(restored) == payload["config_digest"]
+        netlist, arch = make_design()
+        resumed = SimultaneousAnnealer.resume(
+            netlist, arch, path,
+            config=dataclasses.replace(restored, max_stages=0),
         ).run()
         assert resumed.interrupted is None
         assert comparable_metrics(resumed) == comparable_metrics(reference)
